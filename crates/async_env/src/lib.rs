@@ -77,7 +77,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use dataflasks_core::fault::{FaultPlan, InjectedCounters, LinkVerdict};
-use dataflasks_core::wire::{decode_frame, encode_frame, encode_output};
+use dataflasks_core::wire::{encode_frame, encode_output};
 use dataflasks_core::{
     BootstrapRounds, ClientGateway, ClientId, ClientReply, ClientRequest, ClusterSpec, Completion,
     DataFlasksNode, DefaultStore, Environment, Inbox, Message, NodeHost, Output, Poll, PushOutcome,
@@ -962,16 +962,10 @@ fn worker_loop(shared: &Shared, worker: usize) {
                 AsyncInput::Frame(bytes) => {
                     // In-process frames are produced by our own encoder, but
                     // the fault plan may have bit-flipped one in transit: a
-                    // frame that fails to decode is counted and discarded —
+                    // frame that fails to decode is counted on the node and
+                    // discarded — there is no connection to close, and
                     // injected corruption must never take a worker down.
-                    match decode_frame(&bytes) {
-                        Ok(frame) => {
-                            for message in frame.messages {
-                                host.enqueue_message(frame.from, message, now);
-                            }
-                        }
-                        Err(_) => host.node_mut().record_wire_reject(),
-                    }
+                    let _ = host.enqueue_frame(&bytes, now);
                 }
                 AsyncInput::Client { client, request } => {
                     host.enqueue_client_request(client, request, now);

@@ -170,12 +170,14 @@ impl Args {
 
 const CLIENT: u64 = 7;
 
-/// The historical baseline this artifact's `history` header records: the
-/// 220-node workers-1 row as measured before the readiness-reactor,
+/// The historical baselines this artifact's `history` header records, both
+/// the 220-node workers-1 row: as measured before the readiness-reactor,
 /// vectored-write and frame-arena overhaul (one reactor thread spinning
 /// over every socket, one `write` syscall per frame, a fresh allocation
-/// per frame and per read).
-const PR5_BASELINE_HISTORY: &str = concat!(
+/// per frame and per read), and as re-measured on the 2-vCPU host right
+/// before frame decoding moved from the reactor to the workers (the sweep
+/// rows are the same run after it).
+const BASELINE_HISTORY: &str = concat!(
     "{\n",
     "    \"scan_loop_single_frame_writes\": {\n",
     "      \"nodes\": 220,\n",
@@ -186,6 +188,16 @@ const PR5_BASELINE_HISTORY: &str = concat!(
     "      \"put_latency_p99_us\": 2334.92,\n",
     "      \"get_latency_p50_us\": 11.38,\n",
     "      \"get_latency_p99_us\": 428.84\n",
+    "    },\n",
+    "    \"reactor_side_decode\": {\n",
+    "      \"nodes\": 220,\n",
+    "      \"workers\": 1,\n",
+    "      \"put_throughput_ops_per_s\": 7940.50,\n",
+    "      \"get_throughput_ops_per_s\": 10341.27,\n",
+    "      \"put_latency_p50_us\": 167.43,\n",
+    "      \"put_latency_p99_us\": 1193.30,\n",
+    "      \"get_latency_p50_us\": 158.68,\n",
+    "      \"get_latency_p99_us\": 1481.55\n",
     "    }\n",
     "  }"
 );
@@ -215,7 +227,7 @@ fn main() {
             ("slices", args.slices.to_string()),
             ("mailbox_capacity", args.mailbox.to_string()),
             ("transport", format!("\"{transport_name}\"")),
-            ("history", PR5_BASELINE_HISTORY.to_string()),
+            ("history", BASELINE_HISTORY.to_string()),
         ],
         &rows,
     );

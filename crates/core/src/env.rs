@@ -28,6 +28,7 @@ use dataflasks_types::{Duration, NodeConfig, NodeId, NodeProfile, SimTime};
 
 use crate::message::{ClientId, ClientReply, ClientRequest, Message, Output, TimerKind};
 use crate::node::DataFlasksNode;
+use crate::wire::{decode_frame, WireError};
 
 /// The store backing nodes materialised by [`ClusterSpec`] and the stock
 /// environments: a key-range [`ShardedStore`] over in-memory shards, sized by
@@ -341,6 +342,34 @@ impl<S: DataStore> NodeHost<S> {
     pub fn enqueue_message(&mut self, from: NodeId, message: Message, now: SimTime) {
         self.node
             .handle_message(from, message, now, &mut self.effects);
+    }
+
+    /// Decodes one wire frame and handles its messages in emission order,
+    /// buffering their effects without flushing — the receive arm of every
+    /// byte transport's dispatch round. Decoding here, on the thread that
+    /// dispatches, keeps everything a message owns allocated, used and freed
+    /// on one thread.
+    ///
+    /// # Errors
+    ///
+    /// Any [`WireError`] of [`decode_frame`]. The frame is validated whole
+    /// before its first message is handled, so a rejected frame dispatches
+    /// nothing; it is counted once on the node
+    /// ([`NodeStats::wire_rejects`](crate::NodeStats)) and the error is
+    /// returned for the transport to act on (a socket closes the connection).
+    pub fn enqueue_frame(&mut self, bytes: &[u8], now: SimTime) -> Result<(), WireError> {
+        match decode_frame(bytes) {
+            Ok(frame) => {
+                for message in frame.messages {
+                    self.enqueue_message(frame.from, message, now);
+                }
+                Ok(())
+            }
+            Err(error) => {
+                self.node.record_wire_reject();
+                Err(error)
+            }
+        }
     }
 
     /// Handles a client operation, buffering its effects without flushing.
@@ -870,6 +899,66 @@ mod tests {
         assert!(batches > 0, "same-destination fan-outs must coalesce");
         assert_eq!(singles, 0);
         assert_eq!(host.node().store().len(), 2);
+    }
+
+    #[test]
+    fn enqueue_frame_dispatches_in_order_and_rejects_malformed_frames_whole() {
+        use crate::message::{DisseminationPhase, GetRequest, PutRequest, ReplyBody};
+        let spec = ClusterSpec::new(NodeConfig::for_system_size(4, 1), vec![100; 4], 3);
+        let mut host = NodeHost::new(spec.build_nodes().remove(0));
+        let key = Key::from_user_key("framed");
+        // A put followed by a get of the same key: the get only hits if the
+        // frame's messages are handled in emission order.
+        let messages = [
+            Message::Put(std::sync::Arc::new(PutRequest {
+                id: RequestId::new(8, 0),
+                client: 8,
+                object: dataflasks_types::StoredObject::new(
+                    key,
+                    Version::new(1),
+                    Value::from_bytes(b"v"),
+                ),
+                phase: DisseminationPhase::IntraSlice,
+                ttl: 1,
+            })),
+            Message::Get(std::sync::Arc::new(GetRequest {
+                id: RequestId::new(8, 1),
+                client: 8,
+                key,
+                version: None,
+                phase: DisseminationPhase::IntraSlice,
+                ttl: 1,
+            })),
+        ];
+        let mut good = Vec::new();
+        crate::wire::encode_frame(NodeId::new(2), &messages, &mut good).unwrap();
+        assert_eq!(host.enqueue_frame(&good, SimTime::ZERO), Ok(()));
+        let mut hits = 0;
+        host.flush_effects(|output| {
+            if let Output::Reply { reply, .. } = output {
+                hits += usize::from(matches!(reply.body, ReplyBody::GetHit { .. }));
+            }
+        });
+        assert_eq!(hits, 1, "the get must observe the put framed before it");
+        assert_eq!(host.node().stats().total_received(), 2);
+
+        // The same frame with its *second* message's tag flipped: framing
+        // intact, decode fails — after the first message already parsed.
+        let first_len = {
+            let mut one = Vec::new();
+            crate::wire::encode_frame(NodeId::new(2), &messages[..1], &mut one).unwrap();
+            one.len()
+        };
+        let mut bad = good.clone();
+        bad[first_len] ^= 0x80;
+        assert!(host.enqueue_frame(&bad, SimTime::ZERO).is_err());
+        assert_eq!(host.node().stats().wire_rejects, 1, "counted exactly once");
+        assert_eq!(
+            host.node().stats().total_received(),
+            2,
+            "a rejected frame dispatches none of its messages"
+        );
+        assert!(host.effects.is_empty(), "and buffers no effects");
     }
 
     #[test]

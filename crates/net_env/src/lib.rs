@@ -20,12 +20,24 @@
 //!   mirroring the in-process runtimes' one-transport-unit-per-batch
 //!   discipline (partial writes resume at the byte where the socket pushed
 //!   back).
+//! * **Cut on the reactor, decode on the worker.** The reactor only *cuts*
+//!   frames: it reads the length prefix, checks it against
+//!   `MAX_FRAME_BYTES`, copies the frame's bytes into an arena buffer and
+//!   mails them. The worker that dispatches the frame decodes it
+//!   ([`NodeHost::enqueue_frame`], the arm the async backend's workers run
+//!   too) and hands the buffer back. Every object a message owns — its
+//!   `Arc`ed request, its value — is therefore allocated, used and freed on
+//!   one thread; decoding on the reactor made each of them a cross-thread
+//!   malloc/free pair, which cost more than the decode itself.
 //! * **Defensive decode.** Partial reads, coalesced frames and mid-frame
 //!   connection drops are normal stream behaviour, absorbed by the
 //!   per-connection reassembly buffer. A frame that *completes* but fails to
-//!   decode (`WireError::Malformed`, `FrameTooLarge`, an unknown tag) closes
-//!   the connection and is counted on the receiving node
-//!   (`NodeStats::wire_rejects`).
+//!   decode (`WireError::Malformed`, an unknown tag) is counted once — on
+//!   the cluster and on the receiving node (`NodeStats::wire_rejects`) —
+//!   and its connection is closed: the worker names it to the owning
+//!   reactor, frames of that connection already mailed are each validated
+//!   on their own. An oversized announcement (`FrameTooLarge`) is rejected
+//!   by the reactor from the header alone.
 //! * **Lazy dialing with backoff.** Connections are established on first
 //!   send, shared by every onboard sender, and re-dialed with exponential
 //!   backoff when a dial is refused.
@@ -50,10 +62,12 @@
 //!   one `writev` per kernel crossing ([`outbound::OutboundQueue`](crate)),
 //!   resuming partial writes at the exact byte across frame and iovec
 //!   boundaries.
-//! * **Zero steady-state allocation.** Encode buffers and reassembly
-//!   buffers come from a pooled [`arena`](crate); once the cluster is warm
-//!   the send/receive path recycles instead of allocating (the arena's
-//!   fresh-allocation counter is asserted zero by `socket_bench
+//! * **Zero steady-state allocation.** Encode buffers, reassembly buffers
+//!   and the mailed frame buffers come from a pooled [`arena`](crate), and
+//!   every path that discards a frame (crash purge, holdover of a removed
+//!   connection, decode reject) returns its buffer; once the cluster is
+//!   warm the send/receive path recycles instead of allocating (the
+//!   arena's fresh-allocation counter is asserted zero by `socket_bench
 //!   --assert-steady-alloc`).
 //!
 //! The cluster implements the same [`Environment`] driver surface as the
@@ -108,7 +122,7 @@ use rand::{Rng, SeedableRng};
 use arena::BufferArena;
 use dataflasks_async_env::wheel::{DueTimer, TimerWheel};
 use dataflasks_core::fault::{FaultPlan, InjectedCounters, LinkVerdict};
-use dataflasks_core::wire::encode_output_into;
+use dataflasks_core::wire::{encode_frame_into, encode_output_into};
 use dataflasks_core::{
     BootstrapRounds, ClientGateway, ClientId, ClientReply, ClientRequest, ClusterSpec, Completion,
     DataFlasksNode, DefaultStore, Environment, Inbox, Message, NodeHost, Output, Poll, PushOutcome,
@@ -205,14 +219,19 @@ impl SocketClusterConfig {
 /// the other runtimes.
 const BLOCKING_CLIENT: ClientId = u64::MAX;
 
-/// What waits in a node's mailbox. Wire frames arrive already decoded (the
-/// reactor validated the bytes when it cut the frame), so one mailbox entry
-/// still equals one transport unit.
+/// What waits in a node's mailbox. Wire frames arrive **cut but not
+/// decoded**: the reactor checked only the length prefix, the worker that
+/// dispatches the frame decodes it — so every object a message owns lives
+/// and dies on one thread. One mailbox entry is still one transport unit.
 enum SocketInput {
-    /// The messages of one decoded frame, in emission order.
+    /// The bytes of one wire frame (length prefix included) in an arena
+    /// buffer, which the consumer hands back to the arena.
     Frame {
-        from: NodeId,
-        messages: Vec<Message>,
+        bytes: Vec<u8>,
+        /// The inbound connection that carried the frame — closed if the
+        /// frame fails to decode. `None` for driver injections, which
+        /// travelled no socket.
+        conn: Option<u64>,
     },
     /// A client operation submitted to this node as contact.
     Client {
@@ -224,12 +243,12 @@ enum SocketInput {
 }
 
 /// One accepted connection at a node's listener: the byte stream, its
-/// reassembly buffer, and at most one decoded frame the saturated mailbox
+/// reassembly buffer, and at most one cut frame the saturated mailbox
 /// refused (the read-side backpressure holdover).
 struct InboundConn {
     stream: Stream,
     buffer: ReassemblyBuffer,
-    pending: Option<(NodeId, Vec<Message>)>,
+    pending: Option<Vec<u8>>,
     /// Stable identity within its slot — reactor tokens resolve through it,
     /// so a swap-removed vector never aliases a token to the wrong stream.
     id: u64,
@@ -296,6 +315,10 @@ struct ReactorHandle {
     /// reclaims them on its next pass (the kernel dropped the closed fds
     /// from the readiness set on its own).
     cleanup: Mutex<Vec<reactor::Token>>,
+    /// Inbound connections `(slot, connection id)` a worker wants closed
+    /// because a frame they carried failed to decode; only the reactor may
+    /// touch the selector, so it does the closing.
+    corrupt: Mutex<Vec<(usize, u64)>>,
     /// Dedups wake-pipe writes: only the first nudge between two poll
     /// returns pays the syscall.
     wake_flag: AtomicBool,
@@ -336,7 +359,8 @@ struct Shared {
     dials: AtomicU64,
     /// Refused dials awaiting a backoff retry.
     dial_retries: AtomicU64,
-    /// Inbound frames rejected by the wire decoder (also counted per node in
+    /// Inbound frames rejected — by a worker's decode, or by the reactor
+    /// for an oversized announcement (also counted per node in
     /// `NodeStats::wire_rejects`).
     wire_rejects: AtomicU64,
     /// Live reactor slab tokens (registrations minus reclaims), across all
@@ -356,13 +380,14 @@ struct Shared {
     faults: Arc<FaultPlan>,
 }
 
-/// How a decoded frame fared against the destination mailbox.
+/// How a cut frame fared against the destination mailbox.
 enum Delivery {
     Delivered,
     /// Refused by the high-water mark; handed back for the connection's
     /// holdover slot (which stops further reads from that connection).
-    Saturated((NodeId, Vec<Message>)),
-    /// Crashed or closed destination: dropped, the shared crash semantics.
+    Saturated(Vec<u8>),
+    /// Crashed or closed destination: dropped, the shared crash semantics
+    /// (the buffer went back to the arena).
     Dropped,
 }
 
@@ -481,23 +506,30 @@ impl Shared {
         }
     }
 
-    /// Offers one decoded frame to `to_slot`'s mailbox, honouring its
-    /// high-water mark, and marks the host ready on delivery.
-    fn offer_input(&self, to_slot: usize, from: NodeId, messages: Vec<Message>) -> Delivery {
+    /// Offers one cut frame from connection `conn` to `to_slot`'s mailbox,
+    /// honouring its high-water mark, and marks the host ready on delivery.
+    /// Called with the slot's `conns` lock held, which `fail_node` takes
+    /// before it raises the crash flag: an offer sees the flag or lands
+    /// before the purge, so no buffer is lost to a closing mailbox.
+    fn offer_input(&self, to_slot: usize, conn: u64, bytes: Vec<u8>) -> Delivery {
         let slot = &self.slots[to_slot];
         if slot.failed.load(Ordering::SeqCst) {
+            self.arena.give(bytes);
             return Delivery::Dropped;
         }
-        match slot.inbox.try_push(SocketInput::Frame { from, messages }) {
+        let conn = Some(conn);
+        match slot.inbox.try_push(SocketInput::Frame { bytes, conn }) {
             PushOutcome::Delivered => {
                 self.scheduler.mark_ready(to_slot);
                 Delivery::Delivered
             }
-            PushOutcome::Saturated(SocketInput::Frame { from, messages }) => {
+            PushOutcome::Saturated(SocketInput::Frame { bytes, .. }) => {
                 self.saturations.fetch_add(1, Ordering::Relaxed);
-                Delivery::Saturated((from, messages))
+                Delivery::Saturated(bytes)
             }
             PushOutcome::Saturated(_) => unreachable!("a frame was offered"),
+            // Not reached while offers hold `conns` (see above); were it,
+            // the buffer would be freed with the input, not leaked.
             PushOutcome::Closed => Delivery::Dropped,
         }
     }
@@ -505,23 +537,48 @@ impl Shared {
     /// Delivers one input regardless of the high-water mark and marks the
     /// host ready — the driver-injection, client-submission and timer paths,
     /// which have no connection to defer into. Inputs to failed or unknown
-    /// nodes are silently dropped.
+    /// nodes are silently dropped. Only the driver thread calls this, and
+    /// only the driver thread crashes nodes, so the flag check is exact.
     fn mail_input(&self, to: NodeId, input: SocketInput) {
-        let Some(slot) = self.slot_of(to) else { return };
-        if slot.failed.load(Ordering::SeqCst) {
-            return;
-        }
-        if slot.inbox.push(input) {
-            self.scheduler.mark_ready(to.as_u64() as usize);
+        match self.slot_of(to) {
+            Some(slot) if !slot.failed.load(Ordering::SeqCst) => {
+                if slot.inbox.push(input) {
+                    self.scheduler.mark_ready(to.as_u64() as usize);
+                }
+            }
+            _ => self.discard(input),
         }
     }
 
-    /// Counts one rejected inbound frame, on the cluster and on the owning
-    /// node's [`NodeStats`](dataflasks_core::NodeStats).
-    fn record_wire_reject(&self, to_slot: usize) {
+    /// Drops an input nobody will dispatch, returning a frame's buffer to
+    /// the arena.
+    fn discard(&self, input: SocketInput) {
+        if let SocketInput::Frame { bytes, .. } = input {
+            self.arena.give(bytes);
+        }
+    }
+
+    /// Counts an oversized announcement the reactor rejected from the
+    /// header alone, on the cluster and on the owning node's
+    /// [`NodeStats`](dataflasks_core::NodeStats).
+    fn record_oversized_frame(&self, to_slot: usize) {
         self.wire_rejects.fetch_add(1, Ordering::Relaxed);
-        if let Some(slot) = self.slots.get(to_slot) {
-            slot.host.lock().node_mut().record_wire_reject();
+        self.slots[to_slot]
+            .host
+            .lock()
+            .node_mut()
+            .record_wire_reject();
+    }
+
+    /// A frame from `slot`'s mailbox failed a worker's decode (which counted
+    /// it on the node): count it on the cluster and ask the owning reactor
+    /// to close the connection that carried it.
+    fn reject_frame(&self, slot: usize, conn: Option<u64>) {
+        self.wire_rejects.fetch_add(1, Ordering::Relaxed);
+        if let Some(conn) = conn {
+            let handle = self.reactor_of(slot);
+            handle.corrupt.lock().push((slot, conn));
+            handle.wake();
         }
     }
 }
@@ -666,6 +723,7 @@ impl SocketCluster {
                 waker: poll.waker(),
                 dirty: Mutex::new(Vec::new()),
                 cleanup: Mutex::new(Vec::new()),
+                corrupt: Mutex::new(Vec::new()),
                 wake_flag: AtomicBool::new(false),
             })
             .collect();
@@ -1091,15 +1149,15 @@ impl PipelinedClient for SocketCluster {
 impl Environment for SocketCluster {
     fn deliver_message(&mut self, from: NodeId, to: NodeId, message: Message) {
         // Driver injections have no socket to travel; they land directly in
-        // the mailbox as a one-message transport unit, exactly like the
-        // async backend's injection path.
-        self.shared.mail_input(
-            to,
-            SocketInput::Frame {
-                from,
-                messages: vec![message],
-            },
-        );
+        // the mailbox as an encoded one-message transport unit, exactly like
+        // the async backend's injection path.
+        let mut bytes = self.shared.arena.take();
+        if encode_frame_into(from, std::slice::from_ref(&message), &mut bytes).is_ok() {
+            self.shared
+                .mail_input(to, SocketInput::Frame { bytes, conn: None });
+        } else {
+            self.shared.arena.give(bytes);
+        }
     }
 
     fn fire_timer(&mut self, node: NodeId, kind: TimerKind) {
@@ -1123,28 +1181,39 @@ impl Environment for SocketCluster {
         let Some(slot) = self.shared.slot_of(node) else {
             return;
         };
-        // Flag first (a worker mid-round stops absorbing immediately), then
-        // close the mailbox before discarding the backlog — nothing can slip
-        // into the window and survive into a restart (see the async backend
-        // for the race analysis). Connections follow: inbound streams are
-        // dropped (peers observe EOF/reset and discard partial frames) and
-        // the pool's outgoing connection plus its queued frames are
-        // discarded — the network's view of a crashed process.
-        slot.failed.store(true, Ordering::SeqCst);
-        slot.inbox.close();
-        slot.inbox.clear();
         let index = node.as_u64() as usize;
         {
-            // Dropping the streams closes them immediately (peers observe
-            // EOF/reset); the kernel drops closed fds from the readiness set
-            // on its own, so only the reactor's slab tokens remain to be
+            // The connections lock comes first: the reactor offers frames
+            // under it, so none is in flight towards the mailbox while the
+            // node goes down.
+            let mut conns = slot.conns.lock();
+            // Flag first (a worker mid-round stops absorbing immediately),
+            // then close the mailbox before discarding the backlog — nothing
+            // can slip into the window and survive into a restart (see the
+            // async backend for the race analysis). The backlog's frame
+            // buffers go back to the arena.
+            slot.failed.store(true, Ordering::SeqCst);
+            slot.inbox.close();
+            let mut backlog = Vec::new();
+            slot.inbox.drain_up_to(usize::MAX, &mut backlog);
+            for input in backlog {
+                self.shared.discard(input);
+            }
+            // Connections follow: inbound streams are dropped (peers observe
+            // EOF/reset and discard partial frames) and, below, the pool's
+            // outgoing connection plus its queued frames — the network's
+            // view of a crashed process. Dropping the streams closes them
+            // immediately; the kernel drops closed fds from the readiness
+            // set on its own, so only the reactor's slab tokens remain to be
             // reclaimed — handed to the owning reactor, which is the sole
             // slab mutator.
-            let mut conns = slot.conns.lock();
             let mut stale = Vec::with_capacity(conns.len());
             for conn in conns.drain(..) {
                 stale.push(conn.token);
                 self.shared.arena.give(conn.buffer.into_buffer());
+                if let Some(held) = conn.pending {
+                    self.shared.arena.give(held);
+                }
             }
             slot.blocked_conns.store(0, Ordering::SeqCst);
             drop(conns);
@@ -1235,13 +1304,19 @@ fn worker_loop(shared: &Shared, worker: usize) {
             // inputs already dispatched this round are still flushed below,
             // matching the other backends' pre-crash delivery semantics.
             if slot.failed.load(Ordering::SeqCst) {
-                break;
+                shared.discard(input);
+                continue;
             }
             match input {
-                SocketInput::Frame { from, messages } => {
-                    for message in messages {
-                        host.enqueue_message(from, message, now);
+                SocketInput::Frame { bytes, conn } => {
+                    // Hostile or corrupted bytes stay counters: the frame is
+                    // dropped whole and its connection closed; frames of that
+                    // connection already queued behind it are each validated
+                    // on their own.
+                    if host.enqueue_frame(&bytes, now).is_err() {
+                        shared.reject_frame(slot_index, conn);
                     }
+                    shared.arena.give(bytes);
                 }
                 SocketInput::Client { client, request } => {
                     host.enqueue_client_request(client, request, now);
@@ -1302,7 +1377,7 @@ enum Registration {
 /// What handling one inbound connection concluded.
 enum ConnVerdict {
     Keep,
-    /// EOF, reset or corrupt bytes: remove the connection.
+    /// EOF, reset or an oversized announcement: remove the connection.
     Remove,
 }
 
@@ -1385,6 +1460,7 @@ impl<'a> Reactor<'a> {
         }
         let mut dirty: Vec<usize> = Vec::new();
         let mut cleanup: Vec<reactor::Token> = Vec::new();
+        let mut corrupt: Vec<(usize, u64)> = Vec::new();
         while !shared.stopping.load(Ordering::SeqCst) {
             let timeout = self.next_timeout();
             let mut events = std::mem::take(&mut self.events);
@@ -1404,6 +1480,11 @@ impl<'a> Reactor<'a> {
             cleanup.append(&mut self.handle().cleanup.lock());
             for token in cleanup.drain(..) {
                 self.free_token(token);
+            }
+            // Connections a worker's decode rejected: close.
+            corrupt.append(&mut self.handle().corrupt.lock());
+            for (slot, conn) in corrupt.drain(..) {
+                self.close_corrupt_conn(slot, conn);
             }
             // Destinations with freshly queued frames.
             dirty.clear();
@@ -1484,8 +1565,8 @@ impl<'a> Reactor<'a> {
             match slot.listener.accept() {
                 Ok(stream) => {
                     // Connections to a failed node are accepted and then
-                    // starve: frames decoded from them are dropped at the
-                    // closed mailbox, the shared crash semantics. The
+                    // starve: frames cut from them are dropped at the crash
+                    // flag, the shared crash semantics. The
                     // streams themselves are discarded with the next
                     // fail/restart.
                     let id = self.next_conn_id;
@@ -1517,10 +1598,10 @@ impl<'a> Reactor<'a> {
         }
     }
 
-    /// Pumps one inbound connection: retry its holdover, decode buffered
+    /// Pumps one inbound connection: retry its holdover, cut buffered
     /// frames, then read until `WouldBlock` — parking (read interest off)
-    /// when the mailbox saturates, removing the connection on EOF/corrupt
-    /// bytes.
+    /// when the mailbox saturates, removing the connection on EOF or an
+    /// oversized announcement.
     fn pump_conn(&mut self, slot_index: usize, conn_id: u64) {
         let shared = self.shared;
         let slot = &shared.slots[slot_index];
@@ -1534,8 +1615,8 @@ impl<'a> Reactor<'a> {
         // A frame held over from a saturated mailbox blocks this connection
         // until it lands: per-connection FIFO is preserved and the unread
         // socket applies transport backpressure to the sender.
-        if let Some((from, messages)) = conn.pending.take() {
-            match shared.offer_input(slot_index, from, messages) {
+        if let Some(held) = conn.pending.take() {
+            match shared.offer_input(slot_index, conn_id, held) {
                 Delivery::Delivered | Delivery::Dropped => {
                     slot.blocked_conns.fetch_sub(1, Ordering::Relaxed);
                 }
@@ -1551,7 +1632,7 @@ impl<'a> Reactor<'a> {
         }
     }
 
-    /// Decodes buffered frames and reads fresh bytes for the connection at
+    /// Cuts buffered frames and reads fresh bytes for the connection at
     /// `position`, managing its read-interest and the slot's blocked count.
     fn drive_conn(
         &mut self,
@@ -1562,7 +1643,7 @@ impl<'a> Reactor<'a> {
         let shared = self.shared;
         let slot = &shared.slots[slot_index];
         let conn = &mut conns[position];
-        // Decode whatever already sits in the reassembly buffer *before*
+        // Cut whatever already sits in the reassembly buffer *before*
         // reading: a saturation can park a holdover with complete frames
         // still buffered behind it, and those must not wait for the peer to
         // send more bytes.
@@ -1571,7 +1652,7 @@ impl<'a> Reactor<'a> {
                 self.park_conn(slot, conn);
                 return ConnVerdict::Keep;
             }
-            FrameDrain::Corrupt => return ConnVerdict::Remove,
+            FrameDrain::Oversized => return ConnVerdict::Remove,
             FrameDrain::Drained => {}
         }
         loop {
@@ -1583,13 +1664,13 @@ impl<'a> Reactor<'a> {
                 Ok(read) => {
                     conn.buffer.extend_from_slice(&self.scratch[..read]);
                     match drain_frames(shared, slot_index, conn) {
-                        // Stop decoding and stop reading: the backlog waits
+                        // Stop cutting and stop reading: the backlog waits
                         // on the socket (kernel-buffer flow control).
                         FrameDrain::Blocked => {
                             self.park_conn(slot, conn);
                             return ConnVerdict::Keep;
                         }
-                        FrameDrain::Corrupt => return ConnVerdict::Remove,
+                        FrameDrain::Oversized => return ConnVerdict::Remove,
                         FrameDrain::Drained => {}
                     }
                 }
@@ -1623,17 +1704,29 @@ impl<'a> Reactor<'a> {
         }
     }
 
-    /// Removes one inbound connection: frees its token, returns its buffer
+    /// Removes one inbound connection: frees its token, returns its buffers
     /// to the arena, closes the stream (which deregisters it in the
     /// kernel).
     fn remove_conn(&mut self, slot: &NodeSlot, conns: &mut Vec<InboundConn>, position: usize) {
         let conn = conns.swap_remove(position);
-        if conn.pending.is_some() {
+        if let Some(held) = conn.pending {
             slot.blocked_conns.fetch_sub(1, Ordering::Relaxed);
+            self.shared.arena.give(held);
         }
         self.poll.deregister(conn.stream.sys_fd());
         self.free_token(conn.token);
         self.shared.arena.give(conn.buffer.into_buffer());
+    }
+
+    /// Closes a connection a worker reported for carrying an undecodable
+    /// frame. It may be gone already (EOF, or its node crashed); the peer's
+    /// pool observes the close on its EOF probe and re-dials.
+    fn close_corrupt_conn(&mut self, slot_index: usize, conn_id: u64) {
+        let slot = &self.shared.slots[slot_index];
+        let mut conns = slot.conns.lock();
+        if let Some(position) = conns.iter().position(|conn| conn.id == conn_id) {
+            self.remove_conn(slot, &mut conns, position);
+        }
     }
 
     /// Retries every owned connection parked on a holdover (cheap when none
@@ -1899,28 +1992,34 @@ enum FrameDrain {
     /// A frame was refused by the saturated mailbox and parked in the
     /// connection's holdover slot; stop reading this connection.
     Blocked,
-    /// The bytes failed to decode; the reject was counted and the
-    /// connection must be dropped.
-    Corrupt,
+    /// The stream announced an oversized frame; the reject was counted and
+    /// the connection must be dropped.
+    Oversized,
 }
 
-/// Cuts and delivers every complete frame currently buffered on `conn`.
+/// Cuts every complete frame currently buffered on `conn`, copies each into
+/// an arena buffer and offers it — still encoded — to the mailbox.
 fn drain_frames(shared: &Shared, slot_index: usize, conn: &mut InboundConn) -> FrameDrain {
     loop {
-        match conn.buffer.next_frame() {
-            Ok(Some(frame)) => match shared.offer_input(slot_index, frame.from, frame.messages) {
-                Delivery::Delivered | Delivery::Dropped => {}
-                Delivery::Saturated(held) => {
-                    conn.pending = Some(held);
-                    return FrameDrain::Blocked;
+        match conn.buffer.next_raw_frame() {
+            Ok(Some(frame)) => {
+                let mut bytes = shared.arena.take();
+                bytes.extend_from_slice(frame);
+                match shared.offer_input(slot_index, conn.id, bytes) {
+                    Delivery::Delivered | Delivery::Dropped => {}
+                    Delivery::Saturated(held) => {
+                        conn.pending = Some(held);
+                        return FrameDrain::Blocked;
+                    }
                 }
-            },
+            }
             Ok(None) => return FrameDrain::Drained, // mid-frame: read more
             Err(_) => {
-                // Malformed or oversized: count the reject on the receiving
-                // node; the caller drops the connection.
-                shared.record_wire_reject(slot_index);
-                return FrameDrain::Corrupt;
+                // Oversized announcement, rejected from the header alone:
+                // count it on the receiving node; the caller drops the
+                // connection.
+                shared.record_oversized_frame(slot_index);
+                return FrameDrain::Oversized;
             }
         }
     }
@@ -2315,30 +2414,245 @@ mod tests {
         );
     }
 
-    #[test]
-    fn malformed_bytes_on_a_raw_connection_count_wire_rejects() {
-        let spec = ClusterSpec::new(NodeConfig::for_system_size(3, 1), vec![300, 200, 100], 29);
-        let cluster = SocketCluster::start_spec(&spec);
-        // Dial node 0's listener directly and write garbage that parses as a
-        // complete frame with an unknown tag.
-        let mut garbage_frame = Vec::new();
-        dataflasks_core::wire::encode_frame(NodeId::new(9), &[], &mut garbage_frame).unwrap();
-        // Rewrite count to 1 and append a bogus tag, fixing up the length.
-        garbage_frame[4 + 8..4 + 12].copy_from_slice(&1u32.to_le_bytes());
-        garbage_frame.push(200);
-        let body_len = (garbage_frame.len() - 4) as u32;
-        garbage_frame[0..4].copy_from_slice(&body_len.to_le_bytes());
-        let mut raw = Stream::connect(&cluster.shared.slots[0].addr).unwrap();
-        raw.write_all(&garbage_frame).unwrap();
-        // The reactor decodes, rejects and closes; poll for the counter.
+    /// A configuration whose timers never fire within a test, so every
+    /// frame on the wire is one the test caused.
+    fn quiet_config(nodes: usize) -> NodeConfig {
+        let far = Duration::from_secs(3600);
+        let mut config = NodeConfig::for_system_size(nodes, 1);
+        config.pss.shuffle_period = far;
+        config.slicing.gossip_period = far;
+        config.replication.anti_entropy_period = far;
+        config
+    }
+
+    fn quiet_cluster(seed: u64) -> SocketCluster {
+        let spec = ClusterSpec::new(quiet_config(3), vec![300, 200, 100], seed);
+        SocketCluster::start_spec_with(
+            &spec,
+            SocketClusterConfig {
+                workers: 1,
+                ..SocketClusterConfig::default()
+            },
+        )
+    }
+
+    /// One frame pushing a single repair object for `key`.
+    fn push_frame(key: Key) -> Vec<u8> {
+        let object = StoredObject::new(key, Version::new(1), Value::from_bytes(b"pushed"));
+        let message = Message::AntiEntropyPush {
+            objects: vec![object].into(),
+        };
+        let mut frame = Vec::new();
+        dataflasks_core::wire::encode_frame(
+            NodeId::new(9),
+            std::slice::from_ref(&message),
+            &mut frame,
+        )
+        .unwrap();
+        frame
+    }
+
+    /// Polls `condition` for up to five seconds.
+    fn eventually(mut condition: impl FnMut() -> bool) -> bool {
         let deadline = Instant::now() + StdDuration::from_secs(5);
-        while cluster.wire_reject_count() == 0 && Instant::now() < deadline {
-            std::thread::sleep(StdDuration::from_millis(5));
+        while Instant::now() < deadline {
+            if condition() {
+                return true;
+            }
+            std::thread::sleep(StdDuration::from_millis(2));
         }
+        condition()
+    }
+
+    /// Whether the cluster closes the raw (non-blocking) connection.
+    fn observes_eof(raw: &mut Stream) -> bool {
+        let mut scratch = [0u8; 64];
+        eventually(|| match raw.read(&mut scratch) {
+            Ok(0) => true,
+            Ok(_) => false,
+            Err(error) => !matches!(error.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted),
+        })
+    }
+
+    fn stores(cluster: &SocketCluster, slot: usize, key: Key) -> bool {
+        let host = cluster.shared.slots[slot].host.lock();
+        host.node().store().get_latest(key).is_some()
+    }
+
+    #[test]
+    fn a_corrupt_frame_is_rejected_once_by_the_worker_and_closes_its_connection() {
+        let cluster = quiet_cluster(29);
+        let addr = &cluster.shared.slots[0].addr;
+        // Intact framing, flipped tag byte: the reactor cuts and mails it,
+        // the worker's decode rejects it.
+        let mut corrupt = push_frame(Key::from_user_key("never-stored"));
+        corrupt[16] ^= 0x80;
+        let mut raw = Stream::connect(addr).unwrap();
+        raw.write_all(&corrupt).unwrap();
+        assert!(
+            observes_eof(&mut raw),
+            "the corrupt frame's connection must be closed"
+        );
         assert_eq!(cluster.wire_reject_count(), 1);
+        // The node keeps serving: a fresh connection's frame is dispatched.
+        let key = Key::from_user_key("served-after-reject");
+        let mut fresh = Stream::connect(addr).unwrap();
+        fresh.write_all(&push_frame(key)).unwrap();
+        assert!(
+            eventually(|| stores(&cluster, 0, key)),
+            "a fresh connection must be served after the reject"
+        );
+        assert_eq!(cluster.wire_reject_count(), 1, "counted exactly once");
         let nodes = cluster.shutdown();
         assert_eq!(nodes[0].stats().wire_rejects, 1);
         assert!(nodes[1..].iter().all(|n| n.stats().wire_rejects == 0));
+        assert!(nodes[0]
+            .store()
+            .get_latest(Key::from_user_key("never-stored"))
+            .is_none());
+    }
+
+    #[test]
+    fn a_garbage_stream_stays_counters_and_drops_the_connection() {
+        let cluster = quiet_cluster(30);
+        // Fifty well-framed bodies of 0xFF (an absurd message count), a valid
+        // frame the close may or may not outrun, then a torn tail.
+        let mut garbage = Vec::new();
+        for _ in 0..50 {
+            garbage.extend_from_slice(&24u32.to_le_bytes());
+            garbage.extend_from_slice(&[0xFF; 24]);
+        }
+        garbage.extend_from_slice(&push_frame(Key::from_user_key("behind-garbage")));
+        garbage.extend_from_slice(&1000u32.to_le_bytes());
+        garbage.extend_from_slice(&[0xAB; 10]);
+        let mut raw = Stream::connect(&cluster.shared.slots[1].addr).unwrap();
+        raw.write_all(&garbage).unwrap();
+        assert!(observes_eof(&mut raw), "a garbage stream must be dropped");
+        // The single worker survived the hostile bytes: the cluster serves.
+        cluster
+            .put(
+                Key::from_user_key("after-garbage"),
+                Version::new(1),
+                Value::from_bytes(b"x"),
+                Duration::from_secs(10),
+            )
+            .expect("the worker must survive hostile bytes");
+        let rejects = cluster.wire_reject_count();
+        assert!(
+            (1..=50).contains(&rejects),
+            "each mailed garbage frame is rejected on its own: {rejects}"
+        );
+        let nodes = cluster.shutdown();
+        assert_eq!(nodes[1].stats().wire_rejects, rejects);
+        assert_eq!(cluster_wire_rejects(&nodes), rejects);
+    }
+
+    #[test]
+    fn an_oversized_announcement_is_rejected_by_the_reactor_with_nothing_mailed() {
+        let cluster = quiet_cluster(31);
+        let announced = (dataflasks_core::wire::MAX_FRAME_BYTES + 1) as u32;
+        let mut raw = Stream::connect(&cluster.shared.slots[2].addr).unwrap();
+        // The header alone, then bytes that would decode if they were cut.
+        raw.write_all(&announced.to_le_bytes()).unwrap();
+        raw.write_all(&push_frame(Key::from_user_key("behind-oversized")))
+            .unwrap();
+        assert!(observes_eof(&mut raw));
+        assert_eq!(cluster.wire_reject_count(), 1);
+        let fresh = cluster.arena_fresh_buffers();
+        let recycled = cluster.arena_recycled_buffers();
+        assert_eq!(
+            fresh + recycled,
+            1,
+            "only the connection's reassembly buffer: no frame buffer was cut"
+        );
+        let nodes = cluster.shutdown();
+        assert_eq!(nodes[2].stats().wire_rejects, 1);
+        assert_eq!(
+            nodes[2].stats().total_received(),
+            0,
+            "nothing reached the mailbox"
+        );
+    }
+
+    #[test]
+    fn crash_cycles_under_traffic_return_every_frame_buffer_to_the_arena() {
+        let spec = ClusterSpec::new(quiet_config(6), vec![500; 6], 37);
+        let mut cluster = SocketCluster::start_spec_with(
+            &spec,
+            SocketClusterConfig {
+                workers: 1,
+                // Small enough that floods park holdovers on connections.
+                mailbox_capacity: 4,
+                ..SocketClusterConfig::default()
+            },
+        );
+        let victim = NodeId::new(5);
+        let timeout = Duration::from_secs(10);
+        // One cycle: a pipelined burst of puts floods the single slice, the
+        // victim crashes with frames in its mailbox, holdovers and outbound
+        // queue, and comes back.
+        let mut sequence = 0u64;
+        let mut cycle = |cluster: &mut SocketCluster, burst: u64| {
+            let tickets: Vec<Ticket> = (0..burst)
+                .map(|_| {
+                    sequence += 1;
+                    cluster
+                        .submit_put(
+                            Some(NodeId::new(sequence % 3)),
+                            Key::from_user_key(&format!("audit-{sequence}")),
+                            Version::new(1),
+                            Value::from_bytes(&[0x5A; 256]),
+                            timeout,
+                        )
+                        .unwrap()
+                })
+                .collect();
+            cluster.fail_node(victim);
+            cluster.restart_node(victim);
+            for ticket in tickets {
+                let outcome = cluster.await_ticket(ticket, timeout).unwrap();
+                assert!(matches!(outcome, TicketOutcome::Acked(_)), "{outcome:?}");
+            }
+        };
+        // Every buffer ever allocated idles in the pool or is a live
+        // connection's reassembly buffer — true whenever no frame is in
+        // flight. A discard path that drops a frame instead of returning it
+        // breaks this for good.
+        let unaccounted = |cluster: &SocketCluster| {
+            let shared = &cluster.shared;
+            let reassembling: usize = shared.slots.iter().map(|s| s.conns.lock().len()).sum();
+            shared.arena.fresh_buffers() as i64
+                - (shared.arena.idle_buffers() + reassembling) as i64
+        };
+        for _ in 0..3 {
+            cycle(&mut cluster, 32);
+        }
+        assert!(
+            eventually(|| unaccounted(&cluster) == 0),
+            "the warm-up floods never died down"
+        );
+        // How many frames are in flight at once depends on thread timing;
+        // stock the pool with headroom over the warm-up's peak so that only
+        // buffers going missing can make the arena allocate again.
+        let headroom: Vec<Vec<u8>> = (0..64).map(|_| cluster.shared.arena.take()).collect();
+        for buffer in headroom {
+            cluster.shared.arena.give(buffer);
+        }
+        let warm = cluster.arena_fresh_buffers();
+        for _ in 0..6 {
+            cycle(&mut cluster, 32);
+        }
+        assert!(
+            eventually(|| unaccounted(&cluster) == 0),
+            "{} frame buffers never came back to the arena",
+            unaccounted(&cluster)
+        );
+        assert_eq!(
+            cluster.arena_fresh_buffers(),
+            warm,
+            "a warm arena must serve crash cycles without allocating"
+        );
+        cluster.shutdown();
     }
 
     #[test]

@@ -3,10 +3,15 @@
 //! A stream socket delivers bytes, not frames: one `read` may return half a
 //! frame, three frames, or a frame and a half. The [`ReassemblyBuffer`]
 //! accumulates whatever arrives and re-cuts it at the length-prefixed frame
-//! boundaries `dataflasks_core::wire` defines — [`decode_frame`] reporting
-//! [`WireError::Truncated`] simply means "read more bytes", every other
-//! error is a protocol violation the caller answers by closing the
-//! connection (and counting a `NodeStats::wire_rejects`).
+//! boundaries `dataflasks_core::wire` defines. Cutting needs only the length
+//! prefix: [`ReassemblyBuffer::next_raw_frame`] yields a frame's bytes
+//! without looking inside them, which is all the socket runtime's reactor
+//! does — the frame is decoded later, on the worker thread that dispatches
+//! it. [`ReassemblyBuffer::next_frame`] is that cut followed by
+//! [`decode_frame`], for callers that want messages. A buffer that ends
+//! mid-frame simply means "read more bytes"; every error is a protocol
+//! violation the caller answers by closing the connection (and counting a
+//! `NodeStats::wire_rejects`).
 //!
 //! The buffer is the single place where split/coalesced delivery is undone,
 //! so its contract is property-tested exhaustively: any re-chunking of a
@@ -36,7 +41,7 @@
 //! assert!(buffer.is_empty());
 //! ```
 
-use dataflasks_core::wire::{decode_frame, DecodedFrame, WireError};
+use dataflasks_core::wire::{decode_frame, DecodedFrame, WireError, MAX_FRAME_BYTES};
 
 /// How many consumed bytes may pile up at the front of the buffer before it
 /// is compacted (the amortised alternative to shifting after every frame).
@@ -81,10 +86,41 @@ impl ReassemblyBuffer {
 
     /// Appends one read's worth of bytes.
     pub fn extend_from_slice(&mut self, chunk: &[u8]) {
+        self.compact();
         self.bytes.extend_from_slice(chunk);
     }
 
-    /// Cuts the next complete frame off the front of the buffer.
+    /// Cuts the next complete frame off the front of the buffer and returns
+    /// its bytes, length prefix included, **without decoding them**: only
+    /// the prefix is examined. The slice is what [`decode_frame`] accepts.
+    ///
+    /// Returns `Ok(None)` when the buffered bytes end mid-frame (the caller
+    /// reads more and retries later).
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::FrameTooLarge`] if the prefix announces a body longer
+    /// than [`MAX_FRAME_BYTES`] — rejected from the header alone, before the
+    /// body is waited for. The buffer is left untouched; the caller is
+    /// expected to drop the connection.
+    pub fn next_raw_frame(&mut self) -> Result<Option<&[u8]>, WireError> {
+        let pending = &self.bytes[self.start..];
+        let Some(prefix) = pending.first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let announced = u32::from_le_bytes(*prefix) as usize;
+        if announced > MAX_FRAME_BYTES {
+            return Err(WireError::FrameTooLarge { announced });
+        }
+        let Some(frame) = pending.get(..4 + announced) else {
+            return Ok(None);
+        };
+        self.start += frame.len();
+        Ok(Some(frame))
+    }
+
+    /// Cuts the next complete frame ([`Self::next_raw_frame`]) and decodes
+    /// it.
     ///
     /// Returns `Ok(None)` when the buffered bytes end mid-frame (the caller
     /// reads more and retries later).
@@ -92,25 +128,14 @@ impl ReassemblyBuffer {
     /// # Errors
     ///
     /// Any [`WireError`] other than `Truncated` — an oversized announcement,
-    /// an unknown tag, an internally inconsistent body. The buffer is left
-    /// untouched; the caller is expected to drop the connection, so the
-    /// poisoned bytes are never re-examined.
+    /// an unknown tag, an internally inconsistent body. A frame that was cut
+    /// but failed to decode has been consumed; the caller is expected to
+    /// drop the connection either way.
     pub fn next_frame(&mut self) -> Result<Option<DecodedFrame>, WireError> {
-        match decode_frame(&self.bytes[self.start..]) {
-            Ok(frame) => {
-                self.start += frame.consumed;
-                self.compact();
-                Ok(Some(frame))
-            }
-            Err(WireError::Truncated) => {
-                self.compact();
-                Ok(None)
-            }
-            Err(error) => Err(error),
-        }
+        self.next_raw_frame()?.map(decode_frame).transpose()
     }
 
-    /// Bytes buffered but not yet consumed by a decoded frame (a partial
+    /// Bytes buffered but not yet consumed by a cut frame (a partial
     /// frame waiting for more reads, or zero).
     #[must_use]
     pub fn pending_bytes(&self) -> usize {
@@ -125,7 +150,8 @@ impl ReassemblyBuffer {
 
     /// Reclaims consumed front bytes: free the whole allocation's worth when
     /// everything was consumed, shift once the dead prefix crosses the
-    /// compaction threshold.
+    /// compaction threshold. Runs when the buffer is about to grow — never
+    /// while a cut frame's slice is out.
     fn compact(&mut self) {
         if self.start == self.bytes.len() {
             self.bytes.clear();
