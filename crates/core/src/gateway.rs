@@ -1,6 +1,6 @@
 //! The client-reply gateway shared by the concurrent runtimes.
 //!
-//! Both the threaded and the event-driven runtimes funnel every
+//! Both the threaded and the worker-pool runtimes funnel every
 //! [`Output::Reply`](crate::Output) into one cluster-wide mpsc channel and
 //! then answer three kinds of consumer from it:
 //!
@@ -21,8 +21,11 @@
 //! ticket reply surfacing during a drain is routed into its completion slot,
 //! and a reply whose ticket already resolved is a late duplicate to discard.
 //! That routing discipline (and the idle-grace quiescence detection) is
-//! runtime-independent, so it lives here once; the runtimes differ only in
-//! how a request is submitted.
+//! runtime-independent, so it lives here once — and so does the client half
+//! built on it: request ids, ticket register → submit → cancel, and the
+//! blocking calls. A runtime implements [`ClientPort`] ("push this request
+//! to a live contact") and receives [`PipelinedClient`] from the blanket
+//! implementation below.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
@@ -33,7 +36,12 @@ use std::time::Instant;
 
 use dataflasks_types::{Duration, Key, NodeId, RequestId, StoredObject, Value, Version};
 
-use crate::message::{ClientId, ClientReply, ReplyBody};
+use crate::message::{ClientId, ClientReply, ClientRequest, ReplyBody};
+
+/// The client id the blocking and pipelined client APIs issue requests
+/// under. Reserved: [`ClientGateway::register_env_client`] rejects it, so an
+/// `Environment` submission can never steal those replies.
+pub const BLOCKING_CLIENT: ClientId = u64::MAX;
 
 /// Errors returned by the runtimes' blocking client APIs.
 #[derive(Debug)]
@@ -136,7 +144,7 @@ struct PendingSlot {
 
 /// The uniform pipelined client surface of the concurrent runtimes
 /// (`ThreadedCluster`, `AsyncCluster`, `SocketCluster` — every backend
-/// whose client path runs through a [`ClientGateway`]).
+/// whose client path runs through a [`ClientGateway`], via [`ClientPort`]).
 ///
 /// `submit_put`/`submit_get` enqueue the operation without waiting (the
 /// request id is allocated and a completion slot registered before the
@@ -144,7 +152,8 @@ struct PendingSlot {
 /// and return a [`Ticket`]; `await_ticket` blocks for one specific ticket,
 /// `poll_completions` harvests everything that resolved without blocking.
 /// One handle can keep any number of requests in flight; the blocking
-/// `put`/`get` APIs are one-ticket round trips over this exact path.
+/// `put`/`get` calls (provided methods) are one-ticket round trips over
+/// this exact path.
 pub trait PipelinedClient {
     /// Submits a put without waiting, through an explicit contact node or
     /// (`None`) a random live one.
@@ -201,6 +210,174 @@ pub trait PipelinedClient {
     /// Records one shed operation (an open-loop arrival dropped at the
     /// in-flight cap), surfaced by the cluster's `openloop_sheds` counter.
     fn note_shed(&self);
+
+    /// Stores `value` under `key` through a random live contact and waits
+    /// until at least one replica acknowledges it.
+    ///
+    /// # Errors
+    ///
+    /// [`GatewayError::Timeout`] if no acknowledgement arrives within
+    /// `timeout`, [`GatewayError::Shutdown`] if no contact is live.
+    fn put(
+        &self,
+        key: Key,
+        version: Version,
+        value: Value,
+        timeout: Duration,
+    ) -> Result<(), GatewayError> {
+        let ticket = self.submit_put(None, key, version, value, timeout)?;
+        self.await_ticket(ticket, timeout).map(|_| ())
+    }
+
+    /// Like [`Self::put`], but through an explicit contact node — the
+    /// slice-aware client pattern: a caller that knows the responsible slice
+    /// submits straight to one of its members instead of relying on the
+    /// epidemic search from a random contact.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Self::put`]; [`GatewayError::Shutdown`] if `contact` is
+    /// unknown or failed.
+    fn put_via(
+        &self,
+        contact: NodeId,
+        key: Key,
+        version: Version,
+        value: Value,
+        timeout: Duration,
+    ) -> Result<(), GatewayError> {
+        let ticket = self.submit_put(Some(contact), key, version, value, timeout)?;
+        self.await_ticket(ticket, timeout).map(|_| ())
+    }
+
+    /// Reads `key` (a specific version or the latest) through a random live
+    /// contact. Epidemic dissemination makes several replicas answer the
+    /// same read; the call returns as soon as one of them returns the
+    /// object. "Not found" replies are only trusted once the timeout expires
+    /// without any replica producing the object, in which case `Ok(None)` is
+    /// returned.
+    ///
+    /// # Errors
+    ///
+    /// [`GatewayError::Timeout`] if no reply of any kind arrives within
+    /// `timeout`, [`GatewayError::Shutdown`] if no contact is live.
+    fn get(
+        &self,
+        key: Key,
+        version: Option<Version>,
+        timeout: Duration,
+    ) -> Result<Option<StoredObject>, GatewayError> {
+        let ticket = self.submit_get(None, key, version, timeout)?;
+        self.await_ticket(ticket, timeout).map(object_of)
+    }
+
+    /// Like [`Self::get`], but through an explicit contact node (see
+    /// [`Self::put_via`]).
+    ///
+    /// # Errors
+    ///
+    /// As for [`Self::get`]; [`GatewayError::Shutdown`] if `contact` is
+    /// unknown or failed.
+    fn get_via(
+        &self,
+        contact: NodeId,
+        key: Key,
+        version: Option<Version>,
+        timeout: Duration,
+    ) -> Result<Option<StoredObject>, GatewayError> {
+        let ticket = self.submit_get(Some(contact), key, version, timeout)?;
+        self.await_ticket(ticket, timeout).map(object_of)
+    }
+}
+
+/// The object a resolved get ticket carries (`None`: only misses were seen).
+fn object_of(outcome: TicketOutcome) -> Option<StoredObject> {
+    match outcome {
+        TicketOutcome::Hit(object) => Some(object),
+        TicketOutcome::Miss => None,
+        outcome => unreachable!("get ticket resolved to {outcome:?}"),
+    }
+}
+
+/// What a concurrent runtime supplies to get the whole client API: its
+/// reply gateway and a way into the cluster. Everything else —
+/// request ids, the ticket register → submit → cancel sequence, the
+/// pipelined and the blocking calls — is the blanket [`PipelinedClient`]
+/// implementation, shared by every runtime.
+pub trait ClientPort {
+    /// The runtime's reply gateway.
+    fn gateway(&self) -> &ClientGateway;
+
+    /// Pushes `request`, under [`BLOCKING_CLIENT`], into the mailbox of
+    /// `contact` or (`None`) of a live node the runtime picks at random.
+    ///
+    /// # Errors
+    ///
+    /// [`GatewayError::Shutdown`] if the contact is unknown or failed, no
+    /// node is live, or the cluster is shutting down.
+    fn push_request(
+        &self,
+        contact: Option<NodeId>,
+        request: ClientRequest,
+    ) -> Result<(), GatewayError>;
+}
+
+impl<C: ClientPort> PipelinedClient for C {
+    fn submit_put(
+        &self,
+        contact: Option<NodeId>,
+        key: Key,
+        version: Version,
+        value: Value,
+        timeout: Duration,
+    ) -> Result<Ticket, GatewayError> {
+        self.gateway().submit(
+            TicketKind::Put,
+            timeout,
+            |id| ClientRequest::Put {
+                id,
+                key,
+                version,
+                value,
+            },
+            |request| self.push_request(contact, request),
+        )
+    }
+
+    fn submit_get(
+        &self,
+        contact: Option<NodeId>,
+        key: Key,
+        version: Option<Version>,
+        timeout: Duration,
+    ) -> Result<Ticket, GatewayError> {
+        self.gateway().submit(
+            TicketKind::Get,
+            timeout,
+            |id| ClientRequest::Get { id, key, version },
+            |request| self.push_request(contact, request),
+        )
+    }
+
+    fn await_ticket(
+        &self,
+        ticket: Ticket,
+        timeout: Duration,
+    ) -> Result<TicketOutcome, GatewayError> {
+        self.gateway().await_ticket(ticket, timeout)
+    }
+
+    fn poll_completions(&self, out: &mut Vec<Completion>) {
+        self.gateway().poll_completions(out);
+    }
+
+    fn inflight(&self) -> usize {
+        self.gateway().inflight()
+    }
+
+    fn note_shed(&self) {
+        self.gateway().note_shed();
+    }
 }
 
 /// The receiving half of a cluster-wide reply channel, with the routing
@@ -229,6 +406,8 @@ pub struct ClientGateway {
     /// How long [`Self::drain_effects`] waits on a silent channel before
     /// concluding the in-process cascade has quiesced.
     idle_grace: std::time::Duration,
+    /// Sequence number of the next client-API request id.
+    next_sequence: Cell<u64>,
 }
 
 impl ClientGateway {
@@ -245,6 +424,7 @@ impl ClientGateway {
             inflight_high_water: Cell::new(0),
             openloop_sheds: Cell::new(0),
             idle_grace: std::time::Duration::from_secs(1),
+            next_sequence: Cell::new(0),
         }
     }
 
@@ -258,8 +438,39 @@ impl ClientGateway {
 
     /// Claims `client` for the Environment driver: its replies surface
     /// through [`Self::drain_effects`] from now on.
+    ///
+    /// # Panics
+    ///
+    /// If `client` is [`BLOCKING_CLIENT`]: an Environment submission under
+    /// the client API's id would silently steal its replies.
     pub fn register_env_client(&mut self, client: ClientId) {
+        assert!(
+            client != BLOCKING_CLIENT,
+            "client id {BLOCKING_CLIENT} is reserved for the blocking put/get API"
+        );
         self.env_clients.insert(client);
+    }
+
+    /// Allocates the next client-API request id, registers its completion
+    /// slot *before* the request enters the cluster (so a reply cannot race
+    /// the registration), and hands the request to `push`; a refused push
+    /// cancels the slot.
+    fn submit(
+        &self,
+        kind: TicketKind,
+        timeout: Duration,
+        request: impl FnOnce(RequestId) -> ClientRequest,
+        push: impl FnOnce(ClientRequest) -> Result<(), GatewayError>,
+    ) -> Result<Ticket, GatewayError> {
+        let sequence = self.next_sequence.get();
+        self.next_sequence.set(sequence + 1);
+        let id = RequestId::new(0, sequence);
+        let ticket = self.register_ticket(id, kind, timeout);
+        if let Err(err) = push(request(id)) {
+            self.cancel_ticket(ticket);
+            return Err(err);
+        }
+        Ok(ticket)
     }
 
     /// Registers a completion slot for `id` and returns its ticket. Must be
@@ -485,11 +696,7 @@ impl ClientGateway {
         timeout: Duration,
     ) -> Result<Option<StoredObject>, GatewayError> {
         let ticket = self.register_ticket(id, TicketKind::Get, timeout);
-        match self.await_ticket(ticket, timeout)? {
-            TicketOutcome::Hit(object) => Ok(Some(object)),
-            TicketOutcome::Miss => Ok(None),
-            outcome => unreachable!("get ticket resolved to {outcome:?}"),
-        }
+        self.await_ticket(ticket, timeout).map(object_of)
     }
 
     /// Collects the replies of Environment-submitted requests for up to

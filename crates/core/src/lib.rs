@@ -14,8 +14,9 @@
 //! * [`Effects`], [`EffectBuffer`], [`NodeHost`], [`Environment`] — the
 //!   sans-io environment layer: node handlers write their effects into a
 //!   reusable sink, and every environment (the discrete-event simulator of
-//!   `dataflasks-sim`, the threaded runtime of `dataflasks-runtime`, future
-//!   async or sharded backends) drives nodes through the same interface,
+//!   `dataflasks-sim`, the threaded runtime of `dataflasks-runtime`, the
+//!   worker-pool runtime of `dataflasks-net-env`) drives nodes through the
+//!   same interface,
 //! * [`Message`], [`Output`], [`TimerKind`] — the protocol surface those
 //!   environments route,
 //! * [`NodeStats`] — the per-node message accounting the paper's evaluation
@@ -81,7 +82,8 @@ pub use env::{
 };
 pub use fault::{FaultPlan, InjectedCounters, LinkVerdict};
 pub use gateway::{
-    ClientGateway, Completion, GatewayError, PipelinedClient, Ticket, TicketKind, TicketOutcome,
+    ClientGateway, ClientPort, Completion, GatewayError, PipelinedClient, Ticket, TicketKind,
+    TicketOutcome,
 };
 pub use load_balancer::{LoadBalancer, LoadBalancerPolicy};
 pub use message::{

@@ -11,11 +11,11 @@
 //!   one-thread-per-host case: each node thread blocks on its own [`Inbox`]
 //!   and absorbs backlog up to the run budget — it needs no readiness queue
 //!   because the OS scheduler multiplexes the threads,
-//! * the **event-driven runtime** (`dataflasks-async-env`) multiplexes
-//!   thousands of hosts over a small worker pool: routing an input to a host
-//!   pushes onto its [`Inbox`] and marks the host ready in the shared
-//!   [`Scheduler`]; workers pop ready hosts, absorb up to the run budget,
-//!   flush, and re-mark the host if backlog remains.
+//! * the **worker-pool runtime** (`dataflasks-net-env`, over either of its
+//!   transports) multiplexes thousands of hosts over a small worker pool:
+//!   routing an input to a host pushes onto its [`Inbox`] and marks the host
+//!   ready in the shared [`Scheduler`]; workers pop ready hosts, absorb up
+//!   to the run budget, flush, and re-mark the host if backlog remains.
 //!
 //! # Sharded, work-stealing readiness
 //!
@@ -43,7 +43,9 @@
 //! [`Inbox::try_push`] refuses inputs past the mark with
 //! [`PushOutcome::Saturated`], handing the item back so a cooperating sender
 //! can defer and retry once the receiver drains — backpressure without loss.
-//! [`Inbox::push`] deliberately ignores the mark (driver injections, timer
+//! A closed inbox hands refused items back too ([`PushOutcome::Closed`],
+//! `Err` from [`Inbox::push`]), so whatever an input owns is released by
+//! its sender. [`Inbox::push`] deliberately ignores the mark (driver injections, timer
 //! firings and shutdown signals must never be refused); the mark is a
 //! contract between the dispatch loops, not a hard queue limit.
 
@@ -115,9 +117,11 @@ pub enum PushOutcome<T> {
     /// and is handed back so the sender can defer and retry — backpressure
     /// signals saturation, it never drops.
     Saturated(T),
-    /// The inbox is closed (a crashed node); the input is dropped, exactly
-    /// like the simulator discarding deliveries to dead nodes.
-    Closed,
+    /// The inbox is closed (a crashed node). The input was not enqueued and
+    /// is handed back, so the sender can release what it owns; delivery to
+    /// a dead node is still a drop, like the simulator discarding
+    /// deliveries to dead nodes.
+    Closed(T),
 }
 
 impl<T> PushOutcome<T> {
@@ -186,23 +190,27 @@ impl<T> Inbox<T> {
         self.high_water
     }
 
-    /// Enqueues one input regardless of the high-water mark. Returns `false`
-    /// (dropping the input) if the inbox is closed — sending to a crashed
-    /// node is a silent drop, exactly like the simulator discarding
-    /// deliveries to dead nodes.
+    /// Enqueues one input regardless of the high-water mark. A closed inbox
+    /// (a crashed node) hands the input back as `Err` — sending to a crashed
+    /// node is a drop, exactly like the simulator discarding deliveries to
+    /// dead nodes, but what the input owns is the sender's to release.
     ///
     /// Driver injections, timer firings and shutdown signals use this path:
     /// refusing them would wedge the runtime, so the mark only governs
     /// cooperating senders going through [`Self::try_push`].
-    pub fn push(&self, item: T) -> bool {
+    ///
+    /// # Errors
+    ///
+    /// The input itself, if the inbox is closed.
+    pub fn push(&self, item: T) -> Result<(), T> {
         let mut state = self.queue.lock().expect("inbox lock poisoned");
         if state.closed {
-            return false;
+            return Err(item);
         }
         state.items.push_back(item);
         drop(state);
         self.available.notify_one();
-        true
+        Ok(())
     }
 
     /// Enqueues one input, honouring the high-water mark: a saturated inbox
@@ -211,7 +219,7 @@ impl<T> Inbox<T> {
     pub fn try_push(&self, item: T) -> PushOutcome<T> {
         let mut state = self.queue.lock().expect("inbox lock poisoned");
         if state.closed {
-            return PushOutcome::Closed;
+            return PushOutcome::Closed(item);
         }
         if self.high_water > 0 && state.items.len() >= self.high_water {
             return PushOutcome::Saturated(item);
@@ -282,16 +290,6 @@ impl<T> Inbox<T> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Discards every queued input (a crashed node's backlog), keeping the
-    /// inbox usable.
-    pub fn clear(&self) {
-        self.queue
-            .lock()
-            .expect("inbox lock poisoned")
-            .items
-            .clear();
     }
 
     /// Closes the inbox: later pushes are dropped and, once the queue is
@@ -652,7 +650,7 @@ mod tests {
         let inbox = Inbox::new();
         assert!(inbox.is_empty());
         for i in 0..5 {
-            assert!(inbox.push(i));
+            assert!(inbox.push(i).is_ok());
         }
         assert_eq!(inbox.len(), 5);
         assert_eq!(inbox.try_pop(), Some(0));
@@ -666,14 +664,18 @@ mod tests {
     #[test]
     fn closed_inbox_drops_pushes_and_drains_before_reporting_closed() {
         let inbox = Inbox::new();
-        assert!(inbox.push("queued"));
+        assert!(inbox.push("queued").is_ok());
         inbox.close();
-        assert!(!inbox.push("dropped"));
-        assert_eq!(inbox.try_push("also dropped"), PushOutcome::Closed);
+        // Refused inputs come back to the sender on both paths.
+        assert_eq!(inbox.push("dropped"), Err("dropped"));
+        assert_eq!(
+            inbox.try_push("also dropped"),
+            PushOutcome::Closed("also dropped")
+        );
         assert_eq!(inbox.recv_timeout(TICK), RecvOutcome::Item("queued"));
         assert_eq!(inbox.recv_timeout(TICK), RecvOutcome::Closed);
         inbox.reopen();
-        assert!(inbox.push("again"));
+        assert!(inbox.push("again").is_ok());
         assert_eq!(inbox.try_pop(), Some("again"));
     }
 
@@ -693,7 +695,7 @@ mod tests {
         let waiter = Arc::clone(&inbox);
         let handle = std::thread::spawn(move || waiter.recv_timeout(StdDuration::from_secs(30)));
         std::thread::sleep(TICK);
-        inbox.push(9);
+        inbox.push(9).unwrap();
         assert_eq!(handle.join().unwrap(), RecvOutcome::Item(9));
     }
 
@@ -707,7 +709,7 @@ mod tests {
         assert_eq!(inbox.try_push(3), PushOutcome::Saturated(3));
         assert!(!PushOutcome::Saturated(3).is_delivered());
         // The forced path ignores the mark (driver injections must land).
-        assert!(inbox.push(4));
+        assert!(inbox.push(4).is_ok());
         assert_eq!(inbox.len(), 3);
         // Draining reopens capacity for the deferred retry.
         assert_eq!(inbox.try_pop(), Some(1));
@@ -749,7 +751,7 @@ mod tests {
                             match inbox.try_push(item) {
                                 PushOutcome::Delivered => { deferred.pop_front(); }
                                 PushOutcome::Saturated(_) => break,
-                                PushOutcome::Closed => unreachable!("never closed"),
+                                PushOutcome::Closed(_) => unreachable!("never closed"),
                             }
                         }
                         let item = next;
@@ -761,7 +763,7 @@ mod tests {
                         match inbox.try_push(item) {
                             PushOutcome::Delivered => {}
                             PushOutcome::Saturated(item) => deferred.push_back(item),
-                            PushOutcome::Closed => unreachable!("never closed"),
+                            PushOutcome::Closed(_) => unreachable!("never closed"),
                         }
                     }
                 } else {
@@ -779,7 +781,7 @@ mod tests {
                     match inbox.try_push(item) {
                         PushOutcome::Delivered => { deferred.pop_front(); }
                         PushOutcome::Saturated(_) => break,
-                        PushOutcome::Closed => unreachable!("never closed"),
+                        PushOutcome::Closed(_) => unreachable!("never closed"),
                     }
                 }
                 match inbox.try_pop() {

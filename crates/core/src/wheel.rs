@@ -18,7 +18,7 @@
 //! load, not a hash probe.
 //!
 //! The wheel is generic over its notion of time through [`WheelInstant`]:
-//! the event-driven runtimes drive it with [`std::time::Instant`], the
+//! the worker-pool runtime drives it with [`std::time::Instant`], the
 //! simulator with virtual [`SimTime`]. Two
 //! advance disciplines cover the two uses:
 //!

@@ -3,9 +3,9 @@
 //! The batched effect pipeline hands every environment *per-destination
 //! transport units*: an [`Output::Send`] carries one message, an
 //! [`Output::SendBatch`] several. This module defines how one unit travels
-//! over a byte transport — the framing the event-driven runtime
-//! (`dataflasks-async-env`) uses for every hop, and the answer to how a
-//! socket-backed deployment maps one batch to one write:
+//! over a byte transport — the framing the worker-pool runtime
+//! (`dataflasks-net-env`) uses for every hop on both of its transports, and
+//! the answer to how a socket-backed deployment maps one batch to one write:
 //!
 //! ```text
 //! frame    := body_len: u32 | body            (body_len = byte length of body)

@@ -15,8 +15,7 @@
 //! | [`nemesis`] | Seeded fault schedules and the cross-backend invariant checker |
 //! | [`baseline`] | Structured DHT baseline for comparison experiments |
 //! | [`runtime`] | Threaded in-process runtime (one thread per node) |
-//! | [`async_env`] | Event-driven runtime (thousands of nodes on a worker pool) |
-//! | [`net_env`] | Socket runtime (every node behind a real TCP/UDS listener) |
+//! | [`net_env`] | Worker-pool runtime (thousands of nodes on a few threads), over in-process mailboxes or real TCP/UDS sockets |
 //!
 //! The most commonly used items are additionally re-exported at the crate
 //! root (see the [`prelude`]).
@@ -46,7 +45,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use dataflasks_async_env as async_env;
 pub use dataflasks_baseline as baseline;
 pub use dataflasks_core as core;
 pub use dataflasks_membership as membership;
@@ -71,11 +69,12 @@ pub use dataflasks_workload as workload;
 ///   for experiments and figure reproduction,
 /// * [`RuntimeKind::Threaded`] — one OS thread per node; real concurrency
 ///   for small clusters,
-/// * [`RuntimeKind::Async`] — event-driven worker pool; thousands of nodes
-///   on a few threads, with every hop travelling as an encoded wire frame,
-/// * [`RuntimeKind::Socket`] — the same worker pool, but every hop travels
-///   a real socket (TCP on loopback or Unix-domain, see
-///   [`SocketTransportKind`](dataflasks_net_env::SocketTransportKind)): the
+/// * [`RuntimeKind::Async`] — the worker-pool runtime over its in-process
+///   transport; thousands of nodes on a few threads, with every hop
+///   travelling as an encoded wire frame through a mailbox,
+/// * [`RuntimeKind::Socket`] — the same runtime over its socket transport:
+///   every hop travels a real socket (TCP on loopback or Unix-domain, see
+///   [`SocketTransportKind`](dataflasks_net_env::SocketTransportKind)) — the
 ///   deployment-shaped backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RuntimeKind {
@@ -83,15 +82,16 @@ pub enum RuntimeKind {
     Sim,
     /// One OS thread per node (`dataflasks-runtime`).
     Threaded,
-    /// Event-driven worker pool (`dataflasks-async-env`).
+    /// Worker-pool runtime, in-process transport
+    /// ([`AsyncCluster`](dataflasks_net_env::AsyncCluster)).
     Async,
-    /// Socket transport over the event-driven substrate
-    /// (`dataflasks-net-env`).
+    /// Worker-pool runtime, socket transport
+    /// ([`SocketCluster`](dataflasks_net_env::SocketCluster)).
     Socket,
 }
 
 /// Backend-tuning knobs for [`RuntimeKind::spawn_with`]: the runtime-scaling
-/// surface of the worker-pool backends, in one facade-level struct.
+/// surface of the worker-pool runtime, in one facade-level struct.
 ///
 /// The simulator and the threaded runtime have no worker pool, so only the
 /// async and socket backends consume every field; the others ignore what
@@ -103,8 +103,8 @@ pub struct RuntimeOptions {
     pub worker_count: usize,
     /// Per-node mailbox high-water mark (async and socket backends; `0` =
     /// unbounded). Saturated destinations defer frames instead of dropping
-    /// them — in user space for the async backend (see
-    /// [`AsyncClusterConfig::mailbox_capacity`](dataflasks_async_env::AsyncClusterConfig)),
+    /// them — at the sending worker for the async backend (see
+    /// [`AsyncClusterConfig::mailbox_capacity`](dataflasks_net_env::AsyncClusterConfig)),
     /// in the kernel socket buffer for the socket backend.
     pub mailbox_capacity: usize,
     /// Shared scheduling knobs — the per-round run budget (honoured by the
@@ -118,11 +118,6 @@ pub struct RuntimeOptions {
     /// the others). `0` picks one; see
     /// [`SocketClusterConfig::io_threads`](dataflasks_net_env::SocketClusterConfig).
     pub io_threads: usize,
-    /// Frame-buffer arena cap of the socket backend (ignored by the
-    /// others; `0` = unbounded). Bounds how many idle encode/reassembly
-    /// buffers the arena keeps warm between bursts; see
-    /// [`SocketClusterConfig::arena_capacity`](dataflasks_net_env::SocketClusterConfig).
-    pub arena_capacity: usize,
 }
 
 impl RuntimeKind {
@@ -133,7 +128,7 @@ impl RuntimeKind {
     /// timers, crash, restart, drain); keep a concrete
     /// [`Simulation`](dataflasks_sim::Simulation) /
     /// [`ThreadedCluster`](dataflasks_runtime::ThreadedCluster) /
-    /// [`AsyncCluster`](dataflasks_async_env::AsyncCluster) instead when you
+    /// [`Cluster`](dataflasks_net_env::Cluster) instead when you
     /// need backend-specific APIs (blocking clients, shutdown-for-state).
     #[must_use]
     pub fn spawn(
@@ -161,13 +156,12 @@ impl RuntimeKind {
                 Box::new(sim)
             }
             Self::Threaded => Box::new(dataflasks_runtime::ThreadedCluster::start_spec(spec)),
-            Self::Async => Box::new(dataflasks_async_env::AsyncCluster::start_spec_with(
+            Self::Async => Box::new(dataflasks_net_env::AsyncCluster::start_spec_with(
                 spec,
-                dataflasks_async_env::AsyncClusterConfig {
+                dataflasks_net_env::AsyncClusterConfig {
                     workers: options.worker_count,
                     sched: options.sched,
                     mailbox_capacity: options.mailbox_capacity,
-                    ..dataflasks_async_env::AsyncClusterConfig::default()
                 },
             )),
             Self::Socket => Box::new(dataflasks_net_env::SocketCluster::start_spec_with(
@@ -178,8 +172,6 @@ impl RuntimeKind {
                     mailbox_capacity: options.mailbox_capacity,
                     transport: options.transport,
                     io_threads: options.io_threads,
-                    arena_capacity: options.arena_capacity,
-                    ..dataflasks_net_env::SocketClusterConfig::default()
                 },
             )),
         }
@@ -189,7 +181,6 @@ impl RuntimeKind {
 /// The items most programs need, importable with a single `use`.
 pub mod prelude {
     pub use crate::{RuntimeKind, RuntimeOptions};
-    pub use dataflasks_async_env::{AsyncCluster, AsyncClusterConfig};
     pub use dataflasks_baseline::DhtCluster;
     pub use dataflasks_core::{
         ClientLibrary, ClientRequest, ClusterSpec, Completion, DataFlasksNode, DefaultStore,
@@ -205,7 +196,8 @@ pub mod prelude {
         NemesisSchedule, NemesisSpec,
     };
     pub use dataflasks_net_env::{
-        ReassemblyBuffer, SocketCluster, SocketClusterConfig, SocketTransportKind,
+        AsyncCluster, AsyncClusterConfig, ReassemblyBuffer, SocketCluster, SocketClusterConfig,
+        SocketTransportKind,
     };
     pub use dataflasks_runtime::ThreadedCluster;
     pub use dataflasks_sim::{ClusterReport, NetworkConfig, SimConfig, Simulation};

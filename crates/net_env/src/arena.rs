@@ -1,12 +1,12 @@
-//! A pooled frame-buffer arena for the steady-state socket hot path.
+//! A pooled frame-buffer arena for the steady-state frame path.
 //!
 //! Every frame the cluster sends is encoded into a `Vec<u8>`, and every
-//! connection reassembles inbound bytes in a `Vec<u8>`. Allocating those
-//! per frame (or per connection) puts the allocator on the hot path; the
-//! [`BufferArena`] recycles them instead. Encode takes a buffer, the
-//! buffer rides the outbound queue to the socket, and the flush returns it
-//! here once written; reassembly buffers come from and return to the same
-//! pool across connection churn.
+//! socket connection reassembles inbound bytes in a `Vec<u8>`. Allocating
+//! those per frame (or per connection) puts the allocator on the hot path;
+//! the [`BufferArena`] recycles them instead. Encode takes a buffer; it
+//! rides the mailbox (in-process) or the outbound queue to the socket and
+//! comes back here once decoded or written; reassembly buffers come from
+//! and return to the same pool across connection churn.
 //!
 //! The arena keeps score: [`BufferArena::fresh_buffers`] counts `take`
 //! calls the pool could not serve (a real allocation), and

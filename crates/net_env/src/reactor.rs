@@ -17,7 +17,7 @@
 //! each wakeup — semantically the old scan loop, so the cluster stays
 //! portable even where it is no longer fast.
 //!
-//! Discipline expected of callers (and followed by `lib.rs`):
+//! Discipline expected of callers (and followed by `socket.rs`):
 //! - readiness is **level-triggered**: an interest left registered while the
 //!   caller cannot make progress (a saturated mailbox, a drained outbox)
 //!   busy-loops, so interests are dropped and re-armed around those states;

@@ -16,16 +16,17 @@
 //! deadline table. The cluster as a whole implements [`Environment`], the
 //! driver interface shared with the simulator; this runtime is the
 //! one-thread-per-host degenerate case of the scheduling layer, while the
-//! event-driven runtime (`dataflasks-async-env`) multiplexes the same hosts
-//! over a worker pool.
+//! worker-pool runtime (`dataflasks-net-env`) multiplexes the same hosts
+//! over a few threads.
 //!
 //! * [`ThreadedCluster`] — spawns the node threads, routes messages between
-//!   them, exposes a blocking `put`/`get` client API and joins everything on
-//!   shutdown.
+//!   them, pushes client requests into a live contact's inbox (the rest of
+//!   the client API is `core::gateway`'s) and joins everything on shutdown.
 //!
 //! # Example
 //!
 //! ```
+//! use dataflasks_core::PipelinedClient;
 //! use dataflasks_runtime::ThreadedCluster;
 //! use dataflasks_types::{Duration, Key, NodeConfig, Value, Version};
 //!
@@ -56,23 +57,16 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use dataflasks_core::fault::{FaultPlan, InjectedCounters, LinkVerdict};
+use dataflasks_core::gateway::BLOCKING_CLIENT;
 use dataflasks_core::{
-    BootstrapRounds, ClientGateway, ClientId, ClientReply, ClientRequest, ClusterSpec, Completion,
-    DataFlasksNode, DefaultStore, Environment, Inbox, Message, NodeHost, Output, RecvOutcome,
-    SchedulerConfig, Ticket, TicketKind, TicketOutcome, TimerKind,
+    BootstrapRounds, ClientGateway, ClientId, ClientPort, ClientReply, ClientRequest, ClusterSpec,
+    DataFlasksNode, DefaultStore, Environment, GatewayError, Inbox, Message, NodeHost, Output,
+    RecvOutcome, SchedulerConfig, TimerKind,
 };
 
-pub use dataflasks_core::PipelinedClient;
 use dataflasks_membership::NodeDescriptor;
 use dataflasks_store::ShardedStore;
-use dataflasks_types::{
-    Duration, Key, NodeConfig, NodeId, NodeProfile, RequestId, SimTime, StoredObject, Value,
-    Version,
-};
-
-/// Errors returned by the blocking client API (the shared
-/// [`dataflasks_core::gateway`] error type).
-pub use dataflasks_core::GatewayError as RuntimeError;
+use dataflasks_types::{Duration, NodeConfig, NodeId, NodeProfile, SimTime};
 
 /// What travels through a node's inbox channel.
 enum Envelope {
@@ -128,13 +122,14 @@ impl Router {
                 }
                 let guard = self.nodes.read();
                 if let Some(inbox) = guard.get(&to) {
+                    // A closed inbox (a crashed node) drops the envelope.
                     if matches!(verdict, LinkVerdict::Duplicate) {
-                        inbox.push(Envelope::FromNode {
+                        let _ = inbox.push(Envelope::FromNode {
                             from,
                             message: message.clone(),
                         });
                     }
-                    inbox.push(Envelope::FromNode { from, message });
+                    let _ = inbox.push(Envelope::FromNode { from, message });
                 }
             }
             Output::SendBatch { to, messages } => {
@@ -152,12 +147,12 @@ impl Router {
                 let guard = self.nodes.read();
                 if let Some(inbox) = guard.get(&to) {
                     if matches!(verdict, LinkVerdict::Duplicate) {
-                        inbox.push(Envelope::Batch {
+                        let _ = inbox.push(Envelope::Batch {
                             from,
                             messages: messages.clone(),
                         });
                     }
-                    inbox.push(Envelope::Batch { from, messages });
+                    let _ = inbox.push(Envelope::Batch { from, messages });
                 }
             }
             Output::Reply { client, reply } => {
@@ -174,26 +169,22 @@ fn to_std(duration: Duration) -> std::time::Duration {
     std::time::Duration::from_millis(duration.as_millis())
 }
 
-/// The client id the blocking `put`/`get` API issues requests under.
-/// Reserved: [`Environment::submit_client_request`] rejects it.
-const BLOCKING_CLIENT: ClientId = u64::MAX;
-
 /// A cluster of DataFlasks nodes, one thread per node, channels as transport.
 pub struct ThreadedCluster {
     router: Arc<Router>,
     node_ids: Vec<NodeId>,
     handles: Vec<JoinHandle<DataFlasksNode<DefaultStore>>>,
-    /// The shared reply-routing discipline between the blocking client API
-    /// and the Environment driver surface.
+    /// The shared reply-routing discipline between the client API and the
+    /// Environment driver surface.
     gate: ClientGateway,
-    request_sequence: std::cell::Cell<u64>,
+    /// Draws the random live contact of client requests without one.
     rng: std::cell::RefCell<StdRng>,
     /// Per-node crash flags: set by [`Environment::fail_node`] so the victim
     /// stops processing immediately, including envelopes already queued in
     /// its inbox (matching the simulator dropping undelivered events).
     kill_switches: HashMap<NodeId, Arc<AtomicBool>>,
     /// Scheduling knobs handed to every node thread (run budget per
-    /// dispatch round) — the same knobs the event-driven runtime honours.
+    /// dispatch round) — the same knobs the worker-pool runtime honours.
     sched: SchedulerConfig,
     /// Shared node configuration (used to re-arm timers on restart spawns).
     node_config: NodeConfig,
@@ -276,7 +267,6 @@ impl ThreadedCluster {
             node_ids: nodes.iter().map(DataFlasksNode::id).collect(),
             handles: Vec::with_capacity(nodes.len()),
             gate: ClientGateway::new(client_rx),
-            request_sequence: std::cell::Cell::new(0),
             rng: std::cell::RefCell::new(StdRng::seed_from_u64(seed ^ 0xC11E)),
             kill_switches: HashMap::with_capacity(nodes.len()),
             sched,
@@ -328,50 +318,6 @@ impl ThreadedCluster {
         Arc::clone(&self.router.faults)
     }
 
-    /// Stores `value` under `key` and waits until at least one replica
-    /// acknowledges it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Timeout`] if no acknowledgement arrives within
-    /// `timeout`.
-    pub fn put(
-        &self,
-        key: Key,
-        version: Version,
-        value: Value,
-        timeout: Duration,
-    ) -> Result<(), RuntimeError> {
-        let ticket = self.submit_put(None, key, version, value, timeout)?;
-        self.gate.await_ticket(ticket, timeout).map(|_| ())
-    }
-
-    /// Reads `key` (a specific version or the latest).
-    ///
-    /// Epidemic dissemination makes several replicas answer the same read;
-    /// the call returns as soon as one of them returns the object. "Not
-    /// found" replies are only trusted once the timeout expires without any
-    /// replica producing the object (another replica may still hold it), in
-    /// which case `Ok(None)` is returned.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Timeout`] if no reply of any kind arrives
-    /// within `timeout`.
-    pub fn get(
-        &self,
-        key: Key,
-        version: Option<Version>,
-        timeout: Duration,
-    ) -> Result<Option<StoredObject>, RuntimeError> {
-        let ticket = self.submit_get(None, key, version, timeout)?;
-        match self.gate.await_ticket(ticket, timeout)? {
-            TicketOutcome::Hit(object) => Ok(Some(object)),
-            TicketOutcome::Miss => Ok(None),
-            outcome => unreachable!("get ticket resolved to {outcome:?}"),
-        }
-    }
-
     /// Highest number of simultaneously in-flight pipelined requests since
     /// start.
     #[must_use]
@@ -400,7 +346,7 @@ impl ThreadedCluster {
         {
             let guard = self.router.nodes.read();
             for inbox in guard.values() {
-                inbox.push(Envelope::Shutdown);
+                let _ = inbox.push(Envelope::Shutdown);
             }
         }
         // Handles are joined in spawn order, so a restarted incarnation
@@ -419,17 +365,22 @@ impl ThreadedCluster {
             .filter_map(|id| by_id.remove(&id))
             .collect()
     }
+}
 
-    fn submit(&self, contact: Option<NodeId>, request: ClientRequest) -> Result<(), RuntimeError> {
+impl ClientPort for ThreadedCluster {
+    fn gateway(&self) -> &ClientGateway {
+        &self.gate
+    }
+
+    fn push_request(
+        &self,
+        contact: Option<NodeId>,
+        request: ClientRequest,
+    ) -> Result<(), GatewayError> {
         let guard = self.router.nodes.read();
         let contact = match contact {
             // An explicit contact must still be routable (not failed).
-            Some(node) => {
-                if !guard.contains_key(&node) {
-                    return Err(RuntimeError::Shutdown);
-                }
-                node
-            }
+            Some(node) => node,
             None => {
                 // Contacts are drawn from the nodes still routable, so
                 // operations keep succeeding after failures as long as any
@@ -441,90 +392,19 @@ impl ThreadedCluster {
                     .filter(|id| guard.contains_key(id))
                     .collect();
                 if live.is_empty() {
-                    return Err(RuntimeError::Shutdown);
+                    return Err(GatewayError::Shutdown);
                 }
                 let mut rng = self.rng.borrow_mut();
                 live[rng.gen_range(0..live.len())]
             }
         };
-        let inbox = guard.get(&contact).ok_or(RuntimeError::Shutdown)?;
-        if inbox.push(Envelope::FromClient {
-            client: BLOCKING_CLIENT,
-            request,
-        }) {
-            Ok(())
-        } else {
-            Err(RuntimeError::Shutdown)
-        }
-    }
-
-    fn next_request_id(&self) -> RequestId {
-        let sequence = self.request_sequence.get();
-        self.request_sequence.set(sequence + 1);
-        RequestId::new(0, sequence)
-    }
-}
-
-impl PipelinedClient for ThreadedCluster {
-    fn submit_put(
-        &self,
-        contact: Option<NodeId>,
-        key: Key,
-        version: Version,
-        value: Value,
-        timeout: Duration,
-    ) -> Result<Ticket, RuntimeError> {
-        let id = self.next_request_id();
-        // Register before submitting so the reply cannot race the slot.
-        let ticket = self.gate.register_ticket(id, TicketKind::Put, timeout);
-        let request = ClientRequest::Put {
-            id,
-            key,
-            version,
-            value,
-        };
-        if let Err(err) = self.submit(contact, request) {
-            self.gate.cancel_ticket(ticket);
-            return Err(err);
-        }
-        Ok(ticket)
-    }
-
-    fn submit_get(
-        &self,
-        contact: Option<NodeId>,
-        key: Key,
-        version: Option<Version>,
-        timeout: Duration,
-    ) -> Result<Ticket, RuntimeError> {
-        let id = self.next_request_id();
-        let ticket = self.gate.register_ticket(id, TicketKind::Get, timeout);
-        let request = ClientRequest::Get { id, key, version };
-        if let Err(err) = self.submit(contact, request) {
-            self.gate.cancel_ticket(ticket);
-            return Err(err);
-        }
-        Ok(ticket)
-    }
-
-    fn await_ticket(
-        &self,
-        ticket: Ticket,
-        timeout: Duration,
-    ) -> Result<TicketOutcome, RuntimeError> {
-        self.gate.await_ticket(ticket, timeout)
-    }
-
-    fn poll_completions(&self, out: &mut Vec<Completion>) {
-        self.gate.poll_completions(out);
-    }
-
-    fn inflight(&self) -> usize {
-        self.gate.inflight()
-    }
-
-    fn note_shed(&self) {
-        self.gate.note_shed();
+        let inbox = guard.get(&contact).ok_or(GatewayError::Shutdown)?;
+        inbox
+            .push(Envelope::FromClient {
+                client: BLOCKING_CLIENT,
+                request,
+            })
+            .map_err(|_| GatewayError::Shutdown)
     }
 }
 
@@ -532,26 +412,22 @@ impl Environment for ThreadedCluster {
     fn deliver_message(&mut self, from: NodeId, to: NodeId, message: Message) {
         let guard = self.router.nodes.read();
         if let Some(inbox) = guard.get(&to) {
-            inbox.push(Envelope::FromNode { from, message });
+            let _ = inbox.push(Envelope::FromNode { from, message });
         }
     }
 
     fn fire_timer(&mut self, node: NodeId, kind: TimerKind) {
         let guard = self.router.nodes.read();
         if let Some(inbox) = guard.get(&node) {
-            inbox.push(Envelope::Timer { kind });
+            let _ = inbox.push(Envelope::Timer { kind });
         }
     }
 
     fn submit_client_request(&mut self, client: ClientId, contact: NodeId, request: ClientRequest) {
-        assert!(
-            client != BLOCKING_CLIENT,
-            "client id {BLOCKING_CLIENT} is reserved for the blocking put/get API"
-        );
         self.gate.register_env_client(client);
         let guard = self.router.nodes.read();
         if let Some(inbox) = guard.get(&contact) {
-            inbox.push(Envelope::FromClient { client, request });
+            let _ = inbox.push(Envelope::FromClient { client, request });
         }
     }
 
@@ -732,8 +608,8 @@ fn route_thread_output(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dataflasks_core::ReplyBody;
-    use dataflasks_types::PssConfig;
+    use dataflasks_core::{PipelinedClient, ReplyBody};
+    use dataflasks_types::{Key, PssConfig, RequestId, Value, Version};
 
     /// A configuration with fast gossip so tests converge quickly.
     fn fast_config(nodes: usize, slices: u32) -> NodeConfig {
@@ -781,7 +657,7 @@ mod tests {
         let result = cluster.get(Key::from_user_key("ghost"), None, Duration::from_secs(2));
         match result {
             Ok(found) => assert!(found.is_none()),
-            Err(RuntimeError::Timeout) => {}
+            Err(GatewayError::Timeout) => {}
             Err(other) => panic!("unexpected error: {other}"),
         }
         cluster.shutdown();
@@ -875,12 +751,6 @@ mod tests {
                 .expect("live contacts must serve the put");
         }
         cluster.shutdown();
-    }
-
-    #[test]
-    fn error_display_is_informative() {
-        assert!(RuntimeError::Timeout.to_string().contains("timed out"));
-        assert!(RuntimeError::Shutdown.to_string().contains("shut down"));
     }
 
     /// Regression test: the blocking put/get API owns client id `u64::MAX`;
