@@ -260,6 +260,26 @@ impl<S: DataStore> DataFlasksNode<S> {
         fx: &mut dyn Effects,
     ) {
         let _ = now;
+        match message {
+            // This node forwards (and possibly rewrites) an admitted request;
+            // unwrap the shared copy, or clone it once if other deliveries
+            // still hold it.
+            Message::Put(request) => {
+                if self.admit_request(request.id) {
+                    self.handle_admitted_put(Arc::unwrap_or_clone(request), fx);
+                }
+            }
+            Message::Get(request) => {
+                if self.admit_request(request.id) {
+                    self.handle_admitted_get(Arc::unwrap_or_clone(request), fx);
+                }
+            }
+            background => self.handle_background(from, background, fx),
+        }
+    }
+
+    /// Handles a membership, slicing or anti-entropy message.
+    fn handle_background(&mut self, from: NodeId, message: Message, fx: &mut dyn Effects) {
         self.stats.record_received(message.kind());
         match message {
             Message::Shuffle(request) => {
@@ -281,8 +301,9 @@ impl<S: DataStore> DataFlasksNode<S> {
                 self.slicer.handle_reply(reply);
                 self.refresh_slice_assignment();
             }
-            Message::Put(request) => self.handle_put(request, fx),
-            Message::Get(request) => self.handle_get(request, fx),
+            Message::Put(_) | Message::Get(_) => {
+                unreachable!("requests are admitted by handle_message")
+            }
             Message::AntiEntropyDigest { digest, range } => {
                 self.handle_anti_entropy_digest(from, &digest, range, fx);
             }
@@ -428,22 +449,29 @@ impl<S: DataStore> DataFlasksNode<S> {
     // Request dissemination (paper §IV-B)
     // ------------------------------------------------------------------
 
-    fn handle_put(&mut self, request: Arc<PutRequest>, fx: &mut dyn Effects) {
-        if !self.dedup.first_sighting(request.id) {
-            self.stats.requests_duplicate += 1;
-            return;
+    /// Admission of one inbound put or get, by its id: counts the received
+    /// request message and returns `true` only on the request's first
+    /// sighting — a duplicate is counted and ends here. Both inbound paths,
+    /// [`Self::handle_message`] and the wire frame path
+    /// (`NodeHost::enqueue_frame`), admit through this, so a request changes
+    /// the counters and the dedup state identically whichever way it came.
+    pub(crate) fn admit_request(&mut self, id: RequestId) -> bool {
+        self.stats.record_received(MessageKind::Request);
+        if self.dedup.first_sighting(id) {
+            return true;
         }
-        // This node forwards (and possibly rewrites) the request; unwrap the
-        // shared copy, or clone it once if other deliveries still hold it.
-        self.handle_put_locally_and_forward(Arc::unwrap_or_clone(request), false, fx);
+        self.stats.requests_duplicate += 1;
+        false
     }
 
-    fn handle_get(&mut self, request: Arc<GetRequest>, fx: &mut dyn Effects) {
-        if !self.dedup.first_sighting(request.id) {
-            self.stats.requests_duplicate += 1;
-            return;
-        }
-        self.handle_get_locally_and_forward(Arc::unwrap_or_clone(request), false, fx);
+    /// Handles a put that [`Self::admit_request`] admitted.
+    pub(crate) fn handle_admitted_put(&mut self, request: PutRequest, fx: &mut dyn Effects) {
+        self.handle_put_locally_and_forward(request, false, fx);
+    }
+
+    /// Handles a get that [`Self::admit_request`] admitted.
+    pub(crate) fn handle_admitted_get(&mut self, request: GetRequest, fx: &mut dyn Effects) {
+        self.handle_get_locally_and_forward(request, false, fx);
     }
 
     fn handle_put_locally_and_forward(

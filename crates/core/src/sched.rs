@@ -51,7 +51,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration as StdDuration;
 
 /// Default number of already-queued inputs one dispatch round absorbs before
@@ -151,6 +151,10 @@ pub struct Inbox<T> {
 struct InboxState<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// Receivers blocked in [`Inbox::recv_timeout`]. A push notifies the
+    /// condvar only when this is non-zero: a notify is a futex syscall even
+    /// with nobody waiting, and pool workers drain without ever waiting.
+    waiters: usize,
 }
 
 impl<T> Default for InboxState<T> {
@@ -158,6 +162,7 @@ impl<T> Default for InboxState<T> {
         Self {
             items: VecDeque::new(),
             closed: false,
+            waiters: 0,
         }
     }
 }
@@ -203,13 +208,11 @@ impl<T> Inbox<T> {
     ///
     /// The input itself, if the inbox is closed.
     pub fn push(&self, item: T) -> Result<(), T> {
-        let mut state = self.queue.lock().expect("inbox lock poisoned");
+        let state = self.queue.lock().expect("inbox lock poisoned");
         if state.closed {
             return Err(item);
         }
-        state.items.push_back(item);
-        drop(state);
-        self.available.notify_one();
+        self.append(state, item);
         Ok(())
     }
 
@@ -217,17 +220,26 @@ impl<T> Inbox<T> {
     /// hands the input back ([`PushOutcome::Saturated`]) instead of growing,
     /// so the sender can defer delivery until the receiver drains.
     pub fn try_push(&self, item: T) -> PushOutcome<T> {
-        let mut state = self.queue.lock().expect("inbox lock poisoned");
+        let state = self.queue.lock().expect("inbox lock poisoned");
         if state.closed {
             return PushOutcome::Closed(item);
         }
         if self.high_water > 0 && state.items.len() >= self.high_water {
             return PushOutcome::Saturated(item);
         }
-        state.items.push_back(item);
-        drop(state);
-        self.available.notify_one();
+        self.append(state, item);
         PushOutcome::Delivered
+    }
+
+    /// Appends `item` under the held lock, then wakes a receiver only if
+    /// one is blocked.
+    fn append(&self, mut state: MutexGuard<'_, InboxState<T>>, item: T) {
+        state.items.push_back(item);
+        let wake = state.waiters > 0;
+        drop(state);
+        if wake {
+            self.available.notify_one();
+        }
     }
 
     /// Dequeues one input without blocking.
@@ -256,11 +268,13 @@ impl<T> Inbox<T> {
             if remaining.is_zero() {
                 return RecvOutcome::TimedOut;
             }
+            state.waiters += 1;
             let (next, result) = self
                 .available
                 .wait_timeout(state, remaining)
                 .expect("inbox lock poisoned");
             state = next;
+            state.waiters -= 1;
             if result.timed_out() && state.items.is_empty() {
                 return if state.closed {
                     RecvOutcome::Closed
@@ -697,6 +711,33 @@ mod tests {
         std::thread::sleep(TICK);
         inbox.push(9).unwrap();
         assert_eq!(handle.join().unwrap(), RecvOutcome::Item(9));
+    }
+
+    #[test]
+    fn both_pushes_wake_a_blocked_receiver_long_before_its_timeout() {
+        // Pushes notify only counted waiters; a receiver already blocked
+        // must still be woken by either push path, not by its timeout.
+        let inbox: Arc<Inbox<u8>> = Arc::new(Inbox::bounded(4));
+        for (value, forced) in [(1, true), (2, false)] {
+            let waiter = Arc::clone(&inbox);
+            let handle = std::thread::spawn(move || {
+                let started = std::time::Instant::now();
+                let outcome = waiter.recv_timeout(StdDuration::from_secs(10));
+                (outcome, started.elapsed())
+            });
+            std::thread::sleep(TICK);
+            if forced {
+                inbox.push(value).unwrap();
+            } else {
+                assert_eq!(inbox.try_push(value), PushOutcome::Delivered);
+            }
+            let (outcome, waited) = handle.join().unwrap();
+            assert_eq!(outcome, RecvOutcome::Item(value));
+            assert!(
+                waited < StdDuration::from_secs(5),
+                "woken by the push, not the timeout ({waited:?})"
+            );
+        }
     }
 
     #[test]

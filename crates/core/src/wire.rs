@@ -25,6 +25,24 @@
 //! reads more), and any inconsistency *inside* a complete frame is
 //! [`WireError::Malformed`].
 //!
+//! # Walk, then materialise
+//!
+//! There is one parser, [`walk_frame`]. It runs every check — length
+//! prefix, [`MAX_FRAME_BYTES`], tags, counts against the body, option flags,
+//! dissemination phases, digest fingerprints, trailing bytes — and yields
+//! each message as a [`FrameEntry`]. Puts and gets, the flooded traffic a
+//! node mostly drops as duplicates, come out without touching the heap: a
+//! get owns nothing on the heap and is yielded whole, a put is yielded as a
+//! [`PutHeader`] whose value is still a byte range of the frame. Gossip and
+//! anti-entropy messages are decoded as they are walked.
+//!
+//! [`decode_frame`] is the walk followed by materialising every entry. A
+//! receiver that deduplicates does better: it walks the frame, admits each
+//! request by id, and materialises only the ones it admits
+//! (`NodeHost::enqueue_frame`). Both see exactly the same accept/reject
+//! decision and the same [`WireError`] for every byte string, because both
+//! are the same walk.
+//!
 //! # Example
 //!
 //! ```
@@ -47,6 +65,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use dataflasks_membership::{NewscastExchange, NodeDescriptor, ShuffleRequest, ShuffleResponse};
@@ -56,7 +75,7 @@ use dataflasks_types::{
     Key, KeyRange, NodeId, NodeProfile, RequestId, SliceId, StoredObject, Value, Version,
 };
 
-use crate::message::{DisseminationPhase, GetRequest, Message, Output, PutRequest};
+use crate::message::{ClientId, DisseminationPhase, GetRequest, Message, Output, PutRequest};
 
 /// Upper bound on the body length of a single frame (16 MiB). A peer
 /// announcing a larger frame is rejected before any buffer is grown.
@@ -105,6 +124,90 @@ pub struct DecodedFrame {
     /// Total bytes consumed (length prefix included); a streaming caller
     /// resumes decoding at this offset.
     pub consumed: usize,
+}
+
+/// A successfully walked frame: its header. The messages went to the
+/// visitor passed to [`walk_frame`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WalkedFrame {
+    /// The sending node.
+    pub from: NodeId,
+    /// Total bytes consumed (length prefix included), as in
+    /// [`DecodedFrame::consumed`].
+    pub consumed: usize,
+}
+
+/// One message of a walked frame (see [`walk_frame`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum FrameEntry {
+    /// A put request, checked but not materialised: its value is still a
+    /// byte range of the frame.
+    Put(PutHeader),
+    /// A get request. It owns nothing on the heap, so the walk yields it
+    /// whole.
+    Get(GetRequest),
+    /// Any other message, decoded.
+    Other(Message),
+}
+
+impl FrameEntry {
+    /// Materialises the entry into the [`Message`] [`decode_frame`] would
+    /// have returned. `frame` must be the bytes the entry was walked from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` is shorter than the walked frame.
+    #[must_use]
+    pub fn into_message(self, frame: &[u8]) -> Message {
+        match self {
+            Self::Put(header) => Message::Put(Arc::new(header.materialise(frame))),
+            Self::Get(request) => Message::Get(Arc::new(request)),
+            Self::Other(message) => message,
+        }
+    }
+}
+
+/// A walked put request: every field of [`PutRequest`] except the value,
+/// which stays in the frame until [`Self::materialise`] copies it out.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PutHeader {
+    /// The request identifier (what duplicate suppression keys on).
+    pub id: RequestId,
+    /// The client expecting the acknowledgement.
+    pub client: ClientId,
+    /// The object's key.
+    pub key: Key,
+    /// The object's version.
+    pub version: Version,
+    /// Where the value's bytes sit in the walked frame.
+    pub value: Range<usize>,
+    /// Current dissemination phase.
+    pub phase: DisseminationPhase,
+    /// Remaining hops in the current phase.
+    pub ttl: u32,
+}
+
+impl PutHeader {
+    /// Builds the request, copying the value out of `frame` — the bytes
+    /// the header was walked from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` is shorter than the walked frame.
+    #[must_use]
+    pub fn materialise(&self, frame: &[u8]) -> PutRequest {
+        PutRequest {
+            id: self.id,
+            client: self.client,
+            object: StoredObject::new(
+                self.key,
+                self.version,
+                Value::from_bytes(&frame[self.value.clone()]),
+            ),
+            phase: self.phase,
+            ttl: self.ttl,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -361,7 +464,30 @@ fn put_samples(out: &mut Vec<u8>, samples: &[AttributeSample]) {
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// Decodes the frame at the start of `bytes`.
+/// Decodes the frame at the start of `bytes`: [`walk_frame`], then every
+/// entry materialised ([`FrameEntry::into_message`]).
+///
+/// # Errors
+///
+/// Exactly those of [`walk_frame`].
+pub fn decode_frame(bytes: &[u8]) -> Result<DecodedFrame, WireError> {
+    let mut messages = Vec::new();
+    let frame = walk_frame(bytes, |entry| messages.push(entry.into_message(bytes)))?;
+    Ok(DecodedFrame {
+        from: frame.from,
+        messages,
+        consumed: frame.consumed,
+    })
+}
+
+/// Checks the whole frame at the start of `bytes` and hands each of its
+/// messages, in emission order, to `visit` as a [`FrameEntry`]. Puts and
+/// gets are checked field by field but not allocated (see the module docs);
+/// byte ranges in a [`PutHeader`] index `bytes`.
+///
+/// `visit` sees a message as soon as it has been checked, so when the walk
+/// fails, the entries it already saw belong to a rejected frame: a caller
+/// acts on them only after `Ok`.
 ///
 /// # Errors
 ///
@@ -369,7 +495,10 @@ fn put_samples(out: &mut Vec<u8>, samples: &[AttributeSample]) {
 /// and retry), [`WireError::FrameTooLarge`] if the announced body exceeds
 /// [`MAX_FRAME_BYTES`], and [`WireError::UnknownTag`] /
 /// [`WireError::Malformed`] for corrupt frames.
-pub fn decode_frame(bytes: &[u8]) -> Result<DecodedFrame, WireError> {
+pub fn walk_frame(
+    bytes: &[u8],
+    mut visit: impl FnMut(FrameEntry),
+) -> Result<WalkedFrame, WireError> {
     if bytes.len() < 4 {
         return Err(WireError::Truncated);
     }
@@ -380,22 +509,22 @@ pub fn decode_frame(bytes: &[u8]) -> Result<DecodedFrame, WireError> {
     if bytes.len() < 4 + announced {
         return Err(WireError::Truncated);
     }
+    // The reader spans the whole frame, prefix included, so the positions
+    // it reports are offsets into `bytes`.
     let mut reader = Reader {
-        bytes: &bytes[4..4 + announced],
-        pos: 0,
+        bytes: &bytes[..4 + announced],
+        pos: 4,
     };
     let from = NodeId::new(reader.u64()?);
-    let count = reader.u32()? as usize;
-    let mut messages = Vec::with_capacity(count.min(reader.remaining()));
+    let count = reader.u32()?;
     for _ in 0..count {
-        messages.push(decode_message(&mut reader)?);
+        visit(walk_message(&mut reader)?);
     }
     if reader.remaining() != 0 {
         return Err(WireError::Malformed("trailing bytes inside frame body"));
     }
-    Ok(DecodedFrame {
+    Ok(WalkedFrame {
         from,
-        messages,
         consumed: 4 + announced,
     })
 }
@@ -410,13 +539,19 @@ impl Reader<'_> {
         self.bytes.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&[u8], WireError> {
+    /// Steps over `n` bytes, returning where they sit.
+    fn skip(&mut self, n: usize) -> Result<Range<usize>, WireError> {
         if self.remaining() < n {
             return Err(WireError::Malformed("frame body ends mid-field"));
         }
-        let slice = &self.bytes[self.pos..self.pos + n];
+        let start = self.pos;
         self.pos += n;
-        Ok(slice)
+        Ok(start..self.pos)
+    }
+
+    fn take(&mut self, n: usize) -> Result<&[u8], WireError> {
+        let range = self.skip(n)?;
+        Ok(&self.bytes[range])
     }
 
     fn u8(&mut self) -> Result<u8, WireError> {
@@ -443,9 +578,9 @@ impl Reader<'_> {
     }
 }
 
-fn decode_message(reader: &mut Reader<'_>) -> Result<Message, WireError> {
+fn walk_message(reader: &mut Reader<'_>) -> Result<FrameEntry, WireError> {
     let tag = reader.u8()?;
-    Ok(match tag {
+    let message = match tag {
         0 => Message::Shuffle(ShuffleRequest {
             descriptors: get_descriptors(reader)?,
         }),
@@ -464,16 +599,18 @@ fn decode_message(reader: &mut Reader<'_>) -> Result<Message, WireError> {
         5 => {
             let id = get_request_id(reader)?;
             let client = reader.u64()?;
-            let object = get_object(reader)?;
+            let (key, version, value) = get_object_fields(reader)?;
             let phase = get_phase(reader)?;
             let ttl = reader.u32()?;
-            Message::Put(Arc::new(PutRequest {
+            return Ok(FrameEntry::Put(PutHeader {
                 id,
                 client,
-                object,
+                key,
+                version,
+                value,
                 phase,
                 ttl,
-            }))
+            }));
         }
         6 => {
             let id = get_request_id(reader)?;
@@ -486,14 +623,14 @@ fn decode_message(reader: &mut Reader<'_>) -> Result<Message, WireError> {
             };
             let phase = get_phase(reader)?;
             let ttl = reader.u32()?;
-            Message::Get(Arc::new(GetRequest {
+            return Ok(FrameEntry::Get(GetRequest {
                 id,
                 client,
                 key,
                 version,
                 phase,
                 ttl,
-            }))
+            }));
         }
         7 => {
             let digest = Arc::new(get_digest(reader)?);
@@ -514,7 +651,8 @@ fn decode_message(reader: &mut Reader<'_>) -> Result<Message, WireError> {
             objects: get_objects(reader)?.into(),
         },
         other => return Err(WireError::UnknownTag(other)),
-    })
+    };
+    Ok(FrameEntry::Other(message))
 }
 
 fn get_request_id(reader: &mut Reader<'_>) -> Result<RequestId, WireError> {
@@ -540,12 +678,22 @@ fn get_range(reader: &mut Reader<'_>) -> Result<KeyRange, WireError> {
     Ok(KeyRange::new(Key::from_raw(start), Key::from_raw(end)))
 }
 
-fn get_object(reader: &mut Reader<'_>) -> Result<StoredObject, WireError> {
+/// The one object layout (put requests and anti-entropy batches alike),
+/// with the value left as a byte range.
+fn get_object_fields(reader: &mut Reader<'_>) -> Result<(Key, Version, Range<usize>), WireError> {
     let key = Key::from_raw(reader.u64()?);
     let version = Version::new(reader.u64()?);
     let len = reader.u32()? as usize;
-    let bytes = reader.take(len)?;
-    Ok(StoredObject::new(key, version, Value::from_bytes(bytes)))
+    Ok((key, version, reader.skip(len)?))
+}
+
+fn get_object(reader: &mut Reader<'_>) -> Result<StoredObject, WireError> {
+    let (key, version, value) = get_object_fields(reader)?;
+    Ok(StoredObject::new(
+        key,
+        version,
+        Value::from_bytes(&reader.bytes[value]),
+    ))
 }
 
 fn get_objects(reader: &mut Reader<'_>) -> Result<Vec<StoredObject>, WireError> {

@@ -1,11 +1,13 @@
 //! Property tests for the wire framing layer: randomly generated protocol
 //! messages — singles and whole batches — must survive an encode→decode
 //! round trip bit-exactly, every strict prefix of a frame must be reported
-//! as truncated, and frames announcing an oversized body must be rejected.
+//! as truncated, frames announcing an oversized body must be rejected, and
+//! the allocation-free walk must reach the same verdict as the full decode
+//! on every batch, truncation and single-byte corruption.
 
 use std::sync::Arc;
 
-use dataflasks_core::wire::{decode_frame, encode_frame, MAX_FRAME_BYTES};
+use dataflasks_core::wire::{decode_frame, encode_frame, walk_frame, MAX_FRAME_BYTES};
 use dataflasks_core::{DisseminationPhase, GetRequest, Message, PutRequest, WireError};
 use dataflasks_membership::{NewscastExchange, NodeDescriptor, ShuffleRequest, ShuffleResponse};
 use dataflasks_slicing::{AttributeSample, SliceExchange};
@@ -117,6 +119,26 @@ fn decode_genome(genome: &Genome) -> Message {
     }
 }
 
+/// Walks `bytes` and materialises what the walk yielded, so its verdict
+/// (and, on success, its messages) can be compared with [`decode_frame`].
+fn walk_then_materialise(bytes: &[u8]) -> Result<(NodeId, Vec<Message>, usize), WireError> {
+    let mut entries = Vec::new();
+    let frame = walk_frame(bytes, |entry| entries.push(entry))?;
+    let messages = entries
+        .into_iter()
+        .map(|entry| entry.into_message(bytes))
+        .collect();
+    Ok((frame.from, messages, frame.consumed))
+}
+
+/// `walk_frame` and `decode_frame` agree on `bytes`: the same `Ok`/`Err`,
+/// the same error, and on success the same sender, messages and length.
+fn assert_walk_agrees(bytes: &[u8]) {
+    let walked = walk_then_materialise(bytes);
+    let decoded = decode_frame(bytes).map(|frame| (frame.from, frame.messages, frame.consumed));
+    proptest::prop_assert_eq!(walked, decoded);
+}
+
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
@@ -169,5 +191,33 @@ proptest::proptest! {
             decode_frame(&buf),
             Err(WireError::FrameTooLarge { announced: announced as usize })
         );
+    }
+
+    /// The walk reaches `decode_frame`'s verdict on a whole batch, on every
+    /// strict prefix of it, and on every single-byte corruption of it.
+    #[test]
+    fn the_walk_agrees_with_decode_on_batches_truncations_and_flips(
+        genomes in proptest::collection::vec(arb_genome(), 0..6),
+        from in proptest::any::<u64>(),
+        mask in 1u8..=255,
+    ) {
+        let messages: Vec<Message> = genomes.iter().map(decode_genome).collect();
+        let mut buf = Vec::new();
+        encode_frame(NodeId::new(from), &messages, &mut buf).unwrap();
+        assert_walk_agrees(&buf);
+        let (walked_from, walked, consumed) =
+            walk_then_materialise(&buf).expect("self-encoded frames walk");
+        proptest::prop_assert_eq!(walked_from, NodeId::new(from));
+        proptest::prop_assert_eq!(walked, messages);
+        proptest::prop_assert_eq!(consumed, buf.len());
+        for cut in 0..buf.len() {
+            assert_walk_agrees(&buf[..cut]);
+        }
+        let mut flipped = buf.clone();
+        for at in 0..buf.len() {
+            flipped[at] ^= mask;
+            assert_walk_agrees(&flipped);
+            flipped[at] = buf[at];
+        }
     }
 }

@@ -7,9 +7,11 @@
 //! `core::sched` scheduler, and per-worker `core::wheel` timer wheels drive
 //! the periodic protocol timers. Every hop between nodes is a
 //! length-prefixed `core::wire` frame — one `SendBatch` = one frame — in a
-//! pooled buffer that the worker dispatching it decodes
-//! (`NodeHost::enqueue_frame`) and hands back, so everything a message owns
-//! is allocated, used and freed on one thread. All of that, plus the fault
+//! pooled buffer that the worker dispatching it checks whole, decodes only
+//! as far as the node admits (`NodeHost::enqueue_frame`: a duplicate request
+//! ends at the dedup probe without leaving the buffer) and hands back, so
+//! everything a message owns is allocated, used and freed on one thread.
+//! All of that, plus the fault
 //! seam, the client API and the [`Environment`](dataflasks_core::Environment)
 //! surface, is written once; the [`Transport`] decides only where an encoded
 //! frame goes:
