@@ -193,8 +193,8 @@ fn bench_sharded_vs_unsharded(c: &mut Criterion) {
 
 /// Batched vs per-message delivery through the simulator's event queue: one
 /// dispatch round emitting `per_dest` messages to each of `dests`
-/// destinations, routed either as one queue entry per message or — after
-/// [`EffectBuffer::coalesce_sends`] — as one entry per destination.
+/// destinations, routed either as one queue entry per message or — as the
+/// [`EffectBuffer`] groups them — as one entry per destination.
 fn bench_batched_delivery(c: &mut Criterion) {
     use dataflasks::core::Message;
     use dataflasks::sim::{EventPayload, EventQueue};
@@ -212,11 +212,10 @@ fn bench_batched_delivery(c: &mut Criterion) {
         digest: Arc::new(StoreDigest::new()),
         range: KeyRange::FULL,
     };
-    let fill = |fx: &mut EffectBuffer| {
-        for round in 0..per_dest {
+    let fill = |emit: &mut dyn FnMut(NodeId, Message)| {
+        for _ in 0..per_dest {
             for to in 0..dests {
-                let _ = round;
-                fx.emit_send(NodeId::new(to), template.clone());
+                emit(NodeId::new(to), template.clone());
             }
         }
     };
@@ -249,12 +248,12 @@ fn bench_batched_delivery(c: &mut Criterion) {
         _ => {}
     };
     group.bench_function("unbatched_route_8x4", |b| {
-        let mut fx = EffectBuffer::new();
+        let mut units: Vec<Output> = Vec::new();
         let mut queue = EventQueue::new();
         let mut rng = StdRng::seed_from_u64(7);
         b.iter(|| {
-            fill(&mut fx);
-            for output in fx.drain() {
+            fill(&mut |to, message| units.push(Output::Send { to, message }));
+            for output in units.drain(..) {
                 route(&mut queue, &mut rng, output);
             }
             while queue.pop().is_some() {}
@@ -265,8 +264,7 @@ fn bench_batched_delivery(c: &mut Criterion) {
         let mut queue = EventQueue::new();
         let mut rng = StdRng::seed_from_u64(7);
         b.iter(|| {
-            fill(&mut fx);
-            fx.coalesce_sends();
+            fill(&mut |to, message| fx.emit_send(to, message));
             for output in fx.drain() {
                 route(&mut queue, &mut rng, output);
             }

@@ -127,6 +127,30 @@ fn median_us<F: FnMut()>(mut routine: F) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// A shared message template: emitting clones an Arc, exactly like a relay.
+fn relay_template() -> Message {
+    Message::AntiEntropyDigest {
+        digest: Arc::new(StoreDigest::new()),
+        range: KeyRange::FULL,
+    }
+}
+
+/// Emits one dispatch round of `template` — 4 messages to each of 8
+/// destinations — either grouped per destination by `fx` (batched) or as
+/// one `Send` per message into `units`.
+fn emit_round(batched: bool, template: &Message, fx: &mut EffectBuffer, units: &mut Vec<Output>) {
+    for _ in 0..4 {
+        for to in 0..8u64 {
+            let (to, message) = (NodeId::new(to), template.clone());
+            if batched {
+                fx.emit_send(to, message);
+            } else {
+                units.push(Output::Send { to, message });
+            }
+        }
+    }
+}
+
 /// Routes `rounds` dispatch rounds (4 messages to each of 8 destinations)
 /// through the simulator's event queue, batched or per-message, paying the
 /// real per-transport-unit routing cost (one loss decision and one latency
@@ -135,26 +159,15 @@ fn deliver_round(batched: bool, rounds: usize) {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    let template = relay_template();
     let mut fx = EffectBuffer::new();
+    let mut units = Vec::new();
     let mut queue = EventQueue::new();
     let network = NetworkConfig::default();
     let mut rng = StdRng::seed_from_u64(7);
-    // A shared template: emitting clones an Arc, exactly like a relay.
-    let template = Message::AntiEntropyDigest {
-        digest: Arc::new(StoreDigest::new()),
-        range: KeyRange::FULL,
-    };
     for _ in 0..rounds {
-        for round in 0..4 {
-            for to in 0..8u64 {
-                let _ = round;
-                fx.emit_send(NodeId::new(to), template.clone());
-            }
-        }
-        if batched {
-            fx.coalesce_sends();
-        }
-        for output in fx.drain() {
+        emit_round(batched, &template, &mut fx, &mut units);
+        for output in units.drain(..).chain(fx.drain()) {
             match output {
                 Output::Send { to, message } => {
                     if network.drops(&mut rng) {
@@ -192,8 +205,8 @@ fn deliver_round(batched: bool, rounds: usize) {
 }
 
 /// The threaded-runtime transport: one channel send per transport unit.
-/// Unbatched sends every message individually; batched coalesces the round
-/// per destination first — one send (and one routing lookup) per
+/// Unbatched sends every message individually; batched sends the round as
+/// the effect buffer grouped it — one send (and one routing lookup) per
 /// destination, matching `ThreadedCluster`'s router.
 fn channel_round(batched: bool, rounds: usize) {
     use std::collections::HashMap;
@@ -206,23 +219,13 @@ fn channel_round(batched: bool, rounds: usize) {
     let inboxes: HashMap<NodeId, (mpsc::Sender<Unit>, mpsc::Receiver<Unit>)> = (0..8u64)
         .map(|i| (NodeId::new(i), mpsc::channel()))
         .collect();
+    let template = relay_template();
     let mut fx = EffectBuffer::new();
+    let mut units = Vec::new();
     let mut handled = 0usize;
-    let template = Message::AntiEntropyDigest {
-        digest: Arc::new(StoreDigest::new()),
-        range: KeyRange::FULL,
-    };
     for _ in 0..rounds {
-        for round in 0..4 {
-            for to in 0..8u64 {
-                let _ = round;
-                fx.emit_send(NodeId::new(to), template.clone());
-            }
-        }
-        if batched {
-            fx.coalesce_sends();
-        }
-        for output in fx.drain() {
+        emit_round(batched, &template, &mut fx, &mut units);
+        for output in units.drain(..).chain(fx.drain()) {
             match output {
                 Output::Send { to, message } => {
                     let _ = inboxes[&to].0.send(Unit::One(message));

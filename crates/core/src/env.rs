@@ -49,11 +49,20 @@ pub trait Effects {
     fn emit_timer(&mut self, kind: TimerKind, after: Duration);
 }
 
-/// A reusable, growable effect sink.
+/// A reusable, growable effect sink that groups sends per destination as
+/// they are emitted.
 ///
-/// Draining the buffer keeps its allocation, so a long-lived buffer reaches a
-/// steady state where dispatching a message performs no allocation at all for
-/// the effect pipeline.
+/// Between two emptyings (`drain`, `clear`, `take`) every destination has
+/// exactly one transport unit: its first send is buffered as an
+/// [`Output::Send`], a second one upgrades that entry in place to an
+/// [`Output::SendBatch`], and later sends append to the batch. A unit keeps
+/// the position of its destination's first send and its messages stay in
+/// emission order; replies and timer re-arms are buffered as emitted.
+///
+/// Draining the buffer keeps its allocation, and batch vectors come from a
+/// pool that [`Self::recycle_batch`] refills, so a long-lived buffer reaches
+/// a steady state where dispatching a message performs no allocation at all
+/// for the effect pipeline.
 ///
 /// # Example
 ///
@@ -61,29 +70,31 @@ pub trait Effects {
 /// use dataflasks_core::{EffectBuffer, Effects, Message, Output};
 /// use dataflasks_types::{KeyRange, NodeId};
 ///
-/// let mut fx = EffectBuffer::new();
-/// fx.emit_send(NodeId::new(2), Message::AntiEntropyDigest {
+/// let digest = || Message::AntiEntropyDigest {
 ///     digest: std::sync::Arc::new(dataflasks_store::StoreDigest::new()),
 ///     range: KeyRange::FULL,
-/// });
-/// assert_eq!(fx.len(), 1);
+/// };
+/// let mut fx = EffectBuffer::new();
+/// fx.emit_send(NodeId::new(2), digest());
+/// fx.emit_send(NodeId::new(3), digest());
+/// fx.emit_send(NodeId::new(2), digest());
+/// assert_eq!(fx.len(), 2, "one unit per destination");
 /// let effects: Vec<Output> = fx.drain().collect();
-/// assert!(matches!(effects[0], Output::Send { to, .. } if to == NodeId::new(2)));
+/// assert!(matches!(&effects[0], Output::SendBatch { to, messages }
+///     if *to == NodeId::new(2) && messages.len() == 2));
+/// assert!(matches!(effects[1], Output::Send { to, .. } if to == NodeId::new(3)));
 /// assert!(fx.is_empty());
 /// ```
 #[derive(Debug, Default)]
 pub struct EffectBuffer {
     effects: Vec<Output>,
-    /// Scratch space for [`Self::coalesce_sends`]; retained so steady-state
-    /// coalescing allocates nothing.
-    coalesce_scratch: Vec<Output>,
-    /// Scratch `destination → slot index` table for [`Self::coalesce_sends`],
-    /// so merging stays linear in the number of sends times the number of
-    /// *distinct destinations* (not the whole effect list).
+    /// `destination → index` of that destination's unit in `effects`, for
+    /// every destination sent to since the buffer was last emptied. A
+    /// linear table: a round addresses a handful of destinations.
     dest_slots: Vec<(NodeId, usize)>,
     /// Recycled batch vectors: delivered [`Output::SendBatch`] buffers come
-    /// back through [`Self::recycle_batch`] and are reused by
-    /// [`Self::coalesce_sends`], so a warmed node emits batches without
+    /// back through [`Self::recycle_batch`] and are reused by the next
+    /// upgrade to a batch, so a warmed node emits batches without
     /// allocating.
     batch_pool: Vec<Vec<Message>>,
 }
@@ -105,16 +116,15 @@ impl EffectBuffer {
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             effects: Vec::with_capacity(capacity),
-            coalesce_scratch: Vec::new(),
             dest_slots: Vec::new(),
             batch_pool: Vec::new(),
         }
     }
 
     /// Returns a spent [`Output::SendBatch`] vector to this buffer's pool so
-    /// the next [`Self::coalesce_sends`] reuses its allocation. Environments
-    /// call this after draining a delivered batch; vectors beyond the pool
-    /// limit are dropped.
+    /// the next batch reuses its allocation. Environments call this once a
+    /// batch has been delivered or encoded; vectors beyond the pool limit
+    /// are dropped.
     pub fn recycle_batch(&mut self, mut batch: Vec<Message>) {
         if self.batch_pool.len() < BATCH_POOL_LIMIT && batch.capacity() > 0 {
             batch.clear();
@@ -122,7 +132,13 @@ impl EffectBuffer {
         }
     }
 
-    /// Number of buffered effects.
+    /// Number of batch vectors waiting in the pool.
+    #[must_use]
+    pub fn pooled_batches(&self) -> usize {
+        self.batch_pool.len()
+    }
+
+    /// Number of buffered effects (a destination's sends count once).
     #[must_use]
     pub fn len(&self) -> usize {
         self.effects.len()
@@ -134,19 +150,23 @@ impl EffectBuffer {
         self.effects.is_empty()
     }
 
-    /// The buffered effects, in emission order.
+    /// The buffered effects in emission order, each destination's sends
+    /// grouped into one unit at the position of its first send.
     #[must_use]
     pub fn as_slice(&self) -> &[Output] {
         &self.effects
     }
 
     /// Removes and returns every buffered effect, keeping the allocation.
+    /// Sends emitted afterwards start new units.
     pub fn drain(&mut self) -> std::vec::Drain<'_, Output> {
+        self.dest_slots.clear();
         self.effects.drain(..)
     }
 
     /// Discards every buffered effect, keeping the allocation.
     pub fn clear(&mut self) {
+        self.dest_slots.clear();
         self.effects.clear();
     }
 
@@ -154,81 +174,38 @@ impl EffectBuffer {
     /// hot paths should [`Self::drain`] instead).
     #[must_use]
     pub fn take(&mut self) -> Vec<Output> {
-        mem::take(&mut self.effects)
-    }
-
-    /// Merges every buffered [`Output::Send`] aimed at the same destination
-    /// into one [`Output::SendBatch`], so each destination receives exactly
-    /// one transport unit per dispatch.
-    ///
-    /// A batch takes the position of the destination's first send and keeps
-    /// that destination's messages in emission order; replies, timers and
-    /// single-message sends pass through unchanged. Both environments flush
-    /// through this (via [`NodeHost`]), so batching is identical across
-    /// backends. The scratch vector is retained, making steady-state
-    /// coalescing allocation-free except for the batch vectors themselves.
-    pub fn coalesce_sends(&mut self) {
-        let sends = self
-            .effects
-            .iter()
-            .filter(|e| matches!(e, Output::Send { .. } | Output::SendBatch { .. }))
-            .count();
-        if sends < 2 {
-            return;
-        }
-        self.coalesce_scratch.clear();
         self.dest_slots.clear();
-        mem::swap(&mut self.effects, &mut self.coalesce_scratch);
-        // Merges a send unit into the destination's existing slot (tracked in
-        // the `dest_slots` table), upgrading a single Send to a SendBatch
-        // only when a second unit arrives — the common
-        // single-message-per-destination case allocates nothing.
-        for effect in self.coalesce_scratch.drain(..) {
-            let to = match &effect {
-                Output::Send { to, .. } | Output::SendBatch { to, .. } => *to,
-                _ => {
-                    self.effects.push(effect);
-                    continue;
-                }
-            };
-            let Some(&(_, index)) = self.dest_slots.iter().find(|(dest, _)| *dest == to) else {
-                self.dest_slots.push((to, self.effects.len()));
-                self.effects.push(effect);
-                continue;
-            };
-            let slot = &mut self.effects[index];
-            let placeholder = Output::Timer {
-                kind: TimerKind::PssShuffle,
-                after: Duration::ZERO,
-            };
-            let mut messages = match mem::replace(slot, placeholder) {
-                Output::Send { message, .. } => {
-                    let mut messages = self
-                        .batch_pool
-                        .pop()
-                        .unwrap_or_else(|| Vec::with_capacity(4));
-                    messages.push(message);
-                    messages
-                }
-                Output::SendBatch { messages, .. } => messages,
-                _ => unreachable!("slot indexed a send"),
-            };
-            match effect {
-                Output::Send { message, .. } => messages.push(message),
-                Output::SendBatch {
-                    messages: mut incoming,
-                    ..
-                } => messages.append(&mut incoming),
-                _ => unreachable!("effect is a send"),
-            }
-            *slot = Output::SendBatch { to, messages };
-        }
+        mem::take(&mut self.effects)
     }
 }
 
 impl Effects for EffectBuffer {
     fn emit_send(&mut self, to: NodeId, message: Message) {
-        self.effects.push(Output::Send { to, message });
+        let Some(&(_, index)) = self.dest_slots.iter().find(|(dest, _)| *dest == to) else {
+            self.dest_slots.push((to, self.effects.len()));
+            self.effects.push(Output::Send { to, message });
+            return;
+        };
+        match &mut self.effects[index] {
+            Output::SendBatch { messages, .. } => messages.push(message),
+            slot => {
+                // The destination's second send: upgrade its unit in place.
+                let mut messages = self
+                    .batch_pool
+                    .pop()
+                    .unwrap_or_else(|| Vec::with_capacity(4));
+                let batch = Output::SendBatch {
+                    to,
+                    messages: Vec::new(),
+                };
+                let Output::Send { message: first, .. } = mem::replace(slot, batch) else {
+                    unreachable!("a destination slot indexes a send");
+                };
+                messages.push(first);
+                messages.push(message);
+                *slot = Output::SendBatch { to, messages };
+            }
+        }
     }
 
     fn emit_reply(&mut self, client: ClientId, reply: ClientReply) {
@@ -289,6 +266,12 @@ impl<S: DataStore> NodeHost<S> {
         self.effects.recycle_batch(batch);
     }
 
+    /// Number of batch vectors waiting in the host's effect buffer pool.
+    #[must_use]
+    pub fn pooled_batches(&self) -> usize {
+        self.effects.pooled_batches()
+    }
+
     /// Delivers a protocol message and routes the resulting effects.
     pub fn deliver_message<F: FnMut(Output)>(
         &mut self,
@@ -303,8 +286,8 @@ impl<S: DataStore> NodeHost<S> {
 
     /// Delivers a batch of messages from one sender (an
     /// [`Output::SendBatch`] transport unit) in order, then routes the
-    /// effects of the whole batch in one coalesced flush — so a batched
-    /// input produces batched outputs down the dissemination cascade.
+    /// effects of the whole batch in one flush — so a batched input
+    /// produces batched outputs down the dissemination cascade.
     pub fn deliver_batch<F: FnMut(Output)>(
         &mut self,
         from: NodeId,
@@ -341,8 +324,8 @@ impl<S: DataStore> NodeHost<S> {
     ///
     /// The `enqueue_*` methods let an environment feed several inputs (its
     /// whole pending backlog for this node) into one buffered dispatch round
-    /// and then route everything with a single [`Self::flush_effects`] call,
-    /// which coalesces same-destination sends across all of them.
+    /// and then route everything with a single [`Self::flush_effects`] call:
+    /// the buffer groups same-destination sends across all of them.
     pub fn enqueue_message(&mut self, from: NodeId, message: Message, now: SimTime) {
         self.node
             .handle_message(from, message, now, &mut self.effects);
@@ -418,10 +401,9 @@ impl<S: DataStore> NodeHost<S> {
         self.node.on_timer(kind, now, &mut self.effects);
     }
 
-    /// Coalesces buffered same-destination sends into per-destination
-    /// batches and hands every effect to `route`, emptying the buffer.
+    /// Hands every buffered effect to `route` — one transport unit per
+    /// destination, as the buffer grouped them — emptying the buffer.
     pub fn flush_effects<F: FnMut(Output)>(&mut self, mut route: F) {
-        self.effects.coalesce_sends();
         for effect in self.effects.drain() {
             route(effect);
         }
@@ -853,7 +835,6 @@ mod tests {
             fx.emit_send(to, message);
         }
         fx.emit_timer(TimerKind::AntiEntropy, Duration::from_secs(5));
-        fx.coalesce_sends();
         let effects: Vec<Output> = fx.drain().collect();
         // 1 → batch of 3, 2 → batch of 2, 3 → single send, plus the timer.
         assert_eq!(effects.len(), 4);
@@ -884,7 +865,6 @@ mod tests {
         let (to, message) = digest_to(7);
         fx.emit_send(to, message);
         fx.emit_timer(TimerKind::PssShuffle, Duration::from_secs(1));
-        fx.coalesce_sends();
         let effects: Vec<Output> = fx.drain().collect();
         assert_eq!(effects.len(), 2);
         assert!(matches!(&effects[0], Output::Send { .. }));

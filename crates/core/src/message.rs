@@ -227,11 +227,12 @@ pub enum Output {
     /// Send several protocol messages to one node as a single transport
     /// unit.
     ///
-    /// Produced by [`crate::EffectBuffer::coalesce_sends`] when one dispatch
-    /// emits more than one message to the same destination: the environments
-    /// route the whole batch with one event-queue entry (simulator) or one
-    /// channel send (threaded runtime), amortising per-message queue
-    /// overhead, and unpack it in order at the receiver.
+    /// Produced by [`crate::EffectBuffer`] when one dispatch round emits
+    /// more than one message to the same destination: the environments
+    /// route the whole batch with one event-queue entry (simulator), one
+    /// channel send (threaded runtime) or one wire frame (worker-pool
+    /// runtime), amortising per-message overhead, and unpack it in order at
+    /// the receiver.
     SendBatch {
         /// Destination node.
         to: NodeId,

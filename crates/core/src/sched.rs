@@ -76,7 +76,7 @@ pub enum StealPolicy {
 pub struct SchedulerConfig {
     /// Upper bound on how many pending inputs one dispatch round feeds into
     /// a host before flushing its effects. Larger budgets amortise flushing
-    /// (same-destination sends of the whole round coalesce into one batch)
+    /// (same-destination sends of the whole round group into one batch)
     /// at the cost of latency and effect-buffer growth. `0` means the
     /// default ([`DEFAULT_RUN_BUDGET`]).
     pub run_budget: usize,

@@ -292,23 +292,6 @@ pub fn encode_frame_into(
     encode_frame(from, messages, buf)
 }
 
-/// Encodes a routed [`Output`] into a **reusable** buffer: `buf` is
-/// cleared first. Semantics otherwise match [`encode_output`] — `Ok(None)`
-/// (with `buf` left empty) for outputs that are not wire traffic.
-///
-/// # Errors
-///
-/// Returns [`WireError::FrameTooLarge`] (leaving `buf` empty) if the unit
-/// exceeds [`MAX_FRAME_BYTES`]; see [`encode_frame`].
-pub fn encode_output_into(
-    from: NodeId,
-    output: &Output,
-    buf: &mut Vec<u8>,
-) -> Result<Option<NodeId>, WireError> {
-    buf.clear();
-    encode_output(from, output, buf)
-}
-
 fn encode_message(message: &Message, out: &mut Vec<u8>) {
     match message {
         Message::Shuffle(request) => {

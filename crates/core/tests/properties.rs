@@ -6,12 +6,17 @@
 //! suppression terminates dissemination, and message accounting matches the
 //! outputs actually produced.
 
+use std::sync::Arc;
+
 use dataflasks_core::{
-    ClientRequest, DataFlasksNode, EffectBuffer, MessageKind, Output, ReplyBody, TimerKind,
+    ClientReply, ClientRequest, DataFlasksNode, DisseminationPhase, EffectBuffer, Effects,
+    GetRequest, Message, MessageKind, Output, ReplyBody, TimerKind,
 };
 use dataflasks_membership::NodeDescriptor;
 use dataflasks_store::{DataStore, MemoryStore};
-use dataflasks_types::{Key, NodeConfig, NodeId, NodeProfile, RequestId, SimTime, Value, Version};
+use dataflasks_types::{
+    Duration, Key, NodeConfig, NodeId, NodeProfile, RequestId, SimTime, Value, Version,
+};
 use proptest::prelude::*;
 
 /// Builds a cluster of `count` nodes with the given capacities, where every
@@ -313,4 +318,142 @@ proptest! {
             .any(|n| n.stats().sent(MessageKind::Request) + n.stats().sent(MessageKind::Reply) > 0);
         prop_assert!(any_request_traffic);
     }
+}
+
+/// A distinct protocol message per emission, so the reference model can
+/// tell every message apart.
+fn tagged_message(tag: u64) -> Message {
+    Message::Get(Arc::new(GetRequest {
+        id: RequestId::new(1, tag),
+        client: 1,
+        key: Key::from_raw(tag),
+        version: None,
+        phase: DisseminationPhase::Global,
+        ttl: 1,
+    }))
+}
+
+/// The reference model of the effect sink: replies and timers in emission
+/// order, and one unit per destination, placed where that destination was
+/// first sent to and holding its messages in emission order.
+#[derive(Default)]
+struct SinkModel {
+    entries: Vec<ModelEntry>,
+}
+
+enum ModelEntry {
+    Unit(NodeId, Vec<Message>),
+    Other(Output),
+}
+
+impl SinkModel {
+    fn send(&mut self, to: NodeId, message: Message) {
+        for entry in &mut self.entries {
+            if let ModelEntry::Unit(dest, messages) = entry {
+                if *dest == to {
+                    messages.push(message);
+                    return;
+                }
+            }
+        }
+        self.entries.push(ModelEntry::Unit(to, vec![message]));
+    }
+
+    /// What the sink must hand out now; empties the model.
+    fn expected(&mut self) -> Vec<Output> {
+        self.entries
+            .drain(..)
+            .map(|entry| match entry {
+                ModelEntry::Unit(to, mut messages) if messages.len() == 1 => Output::Send {
+                    to,
+                    message: messages.pop().expect("one message"),
+                },
+                ModelEntry::Unit(to, messages) => Output::SendBatch { to, messages },
+                ModelEntry::Other(output) => output,
+            })
+            .collect()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The effect sink groups sends as they are emitted exactly as the
+    /// reference model does, across any interleaving of sends (to a small
+    /// set of destinations), replies and timer re-arms. Emptying the buffer
+    /// — drain, clear or take — ends every unit, so a later send to the
+    /// same destination starts a fresh one.
+    #[test]
+    fn the_effect_sink_groups_sends_like_the_reference_model(
+        steps in proptest::collection::vec((0u8..12, 0u64..4), 1..80),
+    ) {
+        let mut fx = EffectBuffer::new();
+        let mut model = SinkModel::default();
+        for (tag, &(step, dest)) in steps.iter().enumerate() {
+            let tag = tag as u64;
+            match step {
+                0..=6 => {
+                    let to = NodeId::new(dest);
+                    fx.emit_send(to, tagged_message(tag));
+                    model.send(to, tagged_message(tag));
+                }
+                7 | 8 => {
+                    let reply = ClientReply {
+                        request: RequestId::new(2, tag),
+                        responder: NodeId::new(dest),
+                        responder_slice: None,
+                        body: ReplyBody::GetMiss { key: Key::from_raw(tag) },
+                    };
+                    fx.emit_reply(9, reply.clone());
+                    model.entries.push(ModelEntry::Other(Output::Reply { client: 9, reply }));
+                }
+                9 => {
+                    let kind = TimerKind::ALL[dest as usize % TimerKind::ALL.len()];
+                    let after = Duration::from_millis(tag);
+                    fx.emit_timer(kind, after);
+                    model.entries.push(ModelEntry::Other(Output::Timer { kind, after }));
+                }
+                10 => {
+                    let drained: Vec<Output> = fx.drain().collect();
+                    prop_assert_eq!(drained, model.expected());
+                }
+                _ if dest % 2 == 0 => {
+                    let expected = model.expected();
+                    prop_assert_eq!(fx.as_slice(), &expected[..]);
+                    fx.clear();
+                }
+                _ => prop_assert_eq!(fx.take(), model.expected()),
+            }
+            prop_assert_eq!(fx.len(), model.entries.len());
+        }
+        let drained: Vec<Output> = fx.drain().collect();
+        prop_assert_eq!(drained, model.expected());
+    }
+}
+
+/// A destination's second send upgrades its unit to a batch in a vector
+/// taken from the pool that `recycle_batch` fills: the pooled allocation
+/// itself, capacity intact.
+#[test]
+fn a_batch_reuses_a_recycled_vector() {
+    let mut fx = EffectBuffer::new();
+    let recycled: Vec<Message> = Vec::with_capacity(64);
+    let allocation = recycled.as_ptr();
+    fx.recycle_batch(recycled);
+    assert_eq!(fx.pooled_batches(), 1);
+    let to = NodeId::new(3);
+    fx.emit_send(to, tagged_message(0));
+    assert_eq!(fx.pooled_batches(), 1, "a single send takes no batch");
+    fx.emit_send(to, tagged_message(1));
+    assert_eq!(fx.pooled_batches(), 0);
+    let Some(Output::SendBatch { messages, .. }) = fx.drain().next() else {
+        panic!("two sends to one destination form a batch");
+    };
+    assert_eq!(messages.capacity(), 64);
+    assert_eq!(
+        messages.as_ptr(),
+        allocation,
+        "the pooled allocation itself"
+    );
+    assert_eq!(messages, vec![tagged_message(0), tagged_message(1)]);
 }

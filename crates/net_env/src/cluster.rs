@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 use dataflasks_core::fault::{FaultPlan, InjectedCounters, LinkVerdict};
 use dataflasks_core::gateway::BLOCKING_CLIENT;
 use dataflasks_core::wheel::{DueTimer, TimerWheel};
-use dataflasks_core::wire::{encode_frame_into, encode_output_into};
+use dataflasks_core::wire::encode_frame_into;
 use dataflasks_core::{
     BootstrapRounds, ClientGateway, ClientId, ClientPort, ClientReply, ClientRequest, ClusterSpec,
     DataFlasksNode, DefaultStore, Environment, GatewayError, Inbox, Message, NodeHost, Output,
@@ -183,36 +183,55 @@ impl<T: Transport> Shared<T> {
 
     /// Routes one effect of `from`'s dispatch round: timer re-arms to the
     /// emitting node's home wheel, replies to the client inbox, transport
-    /// units through the fault seam — one verdict per unit, tallied into
-    /// `injected` — then encoded once and handed to the transport.
+    /// units to [`Self::send_unit`]. Returns a batch's spent vector, for the
+    /// worker to hand back to the emitting host's pool.
     fn route(
         &self,
         from: usize,
         output: Output,
         outbox: &mut T::Outbox,
         injected: &mut InjectedCounters,
-    ) {
-        let (to, unit_messages) = match output {
+    ) -> Option<Vec<Message>> {
+        match output {
             Output::Timer { kind, after } => {
                 let deadline = Instant::now() + to_std(after);
                 self.home_wheel(from).lock().arm(from, kind, deadline);
-                return;
+                None
             }
             Output::Reply { client, reply } => {
                 let _ = self.client_inbox.send((client, reply));
-                return;
+                None
             }
-            Output::Send { to, .. } => (to, 1),
-            Output::SendBatch { to, ref messages } => (to, messages.len() as u64),
-        };
+            Output::Send { to, message } => {
+                self.send_unit(from, to, std::slice::from_ref(&message), outbox, injected);
+                None
+            }
+            Output::SendBatch { to, messages } => {
+                self.send_unit(from, to, &messages, outbox, injected);
+                Some(messages)
+            }
+        }
+    }
+
+    /// Sends the messages of one transport unit through the fault seam —
+    /// one verdict per unit, tallied into `injected` — then encodes them
+    /// once, as one frame, and hands it to the transport.
+    fn send_unit(
+        &self,
+        from: usize,
+        to: NodeId,
+        messages: &[Message],
+        outbox: &mut T::Outbox,
+        injected: &mut InjectedCounters,
+    ) {
         let from_id = NodeId::new(from as u64);
         let verdict = self.faults.link_verdict(from_id, to);
-        injected.record_messages(verdict, unit_messages);
+        injected.record_messages(verdict, messages.len() as u64);
         if matches!(verdict, LinkVerdict::DropPartition | LinkVerdict::DropLoss) {
             return;
         }
         let mut frame = self.arena.take();
-        if encode_output_into(from_id, &output, &mut frame).is_err() {
+        if encode_frame_into(from_id, messages, &mut frame).is_err() {
             // A pathological unit exceeding the frame limit is dropped like
             // a network rejecting an oversized datagram; the worker survives.
             debug_assert!(false, "protocol produced an oversized frame");
@@ -691,12 +710,13 @@ impl<T: Transport> Environment for Cluster<T> {
 
 /// The worker loop: retry held frames, pop a ready host (own shard first,
 /// stealing from the busiest foreign shard when idle), absorb up to the run
-/// budget from its mailbox, flush once (coalescing the round's
-/// same-destination sends into per-destination frames), and re-queue the
-/// host if backlog remains.
+/// budget from its mailbox, flush once (one frame per destination, as the
+/// host's buffer grouped the round's sends), hand the spent batch vectors
+/// back to the host, and re-queue the host if backlog remains.
 fn worker_loop<T: Transport>(shared: &Shared<T>, worker: usize) {
     let run_budget = shared.scheduler.config().effective_run_budget();
     let mut round: Vec<Input> = Vec::with_capacity(run_budget);
+    let mut spent: Vec<Vec<Message>> = Vec::new();
     let mut outbox = T::Outbox::default();
     loop {
         let park = if T::retry(shared, &mut outbox) {
@@ -741,7 +761,12 @@ fn worker_loop<T: Transport>(shared: &Shared<T>, worker: usize) {
             }
         }
         let mut injected = InjectedCounters::default();
-        host.flush_effects(|output| shared.route(slot_index, output, &mut outbox, &mut injected));
+        host.flush_effects(|output| {
+            spent.extend(shared.route(slot_index, output, &mut outbox, &mut injected));
+        });
+        for batch in spent.drain(..) {
+            host.recycle_batch(batch);
+        }
         if !injected.is_empty() {
             host.node_mut().record_injected_faults(&injected);
         }

@@ -94,13 +94,16 @@ pub type SocketCluster = Cluster<Socket>;
 mod tests {
     use std::collections::HashSet;
     use std::io::{ErrorKind, Read, Write};
+    use std::sync::Arc;
     use std::time::{Duration as StdDuration, Instant};
 
     use super::*;
+    use crate::cluster::Input;
     use crate::transport::Stream;
+    use dataflasks_core::wire::encode_frame;
     use dataflasks_core::{
-        ClientRequest, ClusterSpec, DataFlasksNode, DefaultStore, Environment, GatewayError,
-        Message, ReplyBody, Ticket, TicketOutcome,
+        ClientRequest, ClusterSpec, DataFlasksNode, DefaultStore, DisseminationPhase, Environment,
+        GatewayError, Message, PutRequest, ReplyBody, Ticket, TicketOutcome,
     };
     use dataflasks_store::DataStore;
     use dataflasks_types::{
@@ -750,6 +753,61 @@ mod tests {
             "a warm arena must serve crash cycles without allocating"
         );
         cluster.shutdown();
+    }
+
+    /// The worker hands every spent `SendBatch` vector back to the host that
+    /// emitted it: a round sending two messages to one peer leaves the
+    /// host's pool stocked, and an identical round then batches from the
+    /// pool without allocating — the pool ends where it started.
+    fn spent_batches_return_to_the_pool<T: Transport>() {
+        let spec = ClusterSpec::new(quiet_config(2), vec![200, 100], 41);
+        let cluster = Cluster::<T>::start_spec(&spec);
+        let pooled = || cluster.shared.slots[0].host.lock().pooled_batches();
+        let stored = || cluster.shared.slots[1].host.lock().node().store().len();
+        // Two fresh puts in one frame: node 0 stores both and fans each out
+        // to its only slice peer, node 1 — one batch of two.
+        let round = |sequence: u64| {
+            let put = |sequence: u64| {
+                Message::Put(Arc::new(PutRequest {
+                    id: RequestId::new(8, sequence),
+                    client: 8,
+                    object: StoredObject::new(
+                        Key::from_user_key(&format!("pooled-{sequence}")),
+                        Version::new(1),
+                        Value::from_bytes(b"batched"),
+                    ),
+                    phase: DisseminationPhase::Global,
+                    ttl: 1,
+                }))
+            };
+            let mut bytes = Vec::new();
+            encode_frame(
+                NodeId::new(9),
+                &[put(sequence), put(sequence + 1)],
+                &mut bytes,
+            )
+            .unwrap();
+            assert!(cluster.shared.mail(0, Input::Frame { bytes, conn: None }));
+        };
+        round(0);
+        // Node 1 stores once node 0 has flushed; node 0's worker recycles
+        // before it releases the host lock `pooled` takes.
+        assert!(eventually(|| stored() == 2), "the batch never arrived");
+        let warm = pooled();
+        assert!(warm > 0, "the spent batch vector never came back");
+        round(2);
+        assert!(
+            eventually(|| stored() == 4),
+            "the second batch never arrived"
+        );
+        assert_eq!(pooled(), warm, "a warm host must batch from its pool");
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn the_worker_returns_spent_batch_vectors_to_the_host() {
+        spent_batches_return_to_the_pool::<InProcess>();
+        spent_batches_return_to_the_pool::<Socket>();
     }
 
     #[test]

@@ -478,10 +478,10 @@ impl Environment for ThreadedCluster {
 ///
 /// Each dispatch round feeds the received envelope *plus any backlog already
 /// queued in the inbox* (up to the shared [`SchedulerConfig`] run budget)
-/// into the host, then flushes once: same-destination sends produced by the
-/// whole round coalesce into one [`Output::SendBatch`] — one inbox push per
-/// destination per round — which is what amortises per-message queue and
-/// lock overhead for slice-wide fan-outs under load.
+/// into the host, then flushes once: the host's buffer has grouped the
+/// same-destination sends of the whole round into one [`Output::SendBatch`]
+/// — one inbox push per destination per round — which is what amortises
+/// per-message queue and lock overhead for slice-wide fan-outs under load.
 fn node_thread(
     node: DataFlasksNode<DefaultStore>,
     rx: Arc<Inbox<Envelope>>,
