@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use dataflasks::membership::{CyclonProtocol, NodeDescriptor, PeerSampling};
+use dataflasks::membership::{CyclonProtocol, NodeDescriptor};
 use dataflasks::prelude::*;
 use dataflasks::slicing::OrderedSlicer;
 use dataflasks::types::{PssConfig, SlicingConfig};

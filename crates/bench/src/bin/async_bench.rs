@@ -106,11 +106,10 @@ fn main() {
         .collect();
     let spec = ClusterSpec::new(config, capacities, 0xA57C);
 
-    // Contact selection models the repo's warmed slice-aware load balancer
-    // (`LoadBalancer` + `ClientLibrary`): requests go to a member of the
-    // key's responsible slice, chosen uniformly — the steady state the
-    // paper's client library converges to after a few replies. The plan is
-    // shared by every sweep row (the spec is deterministic).
+    // Contact selection models a client that knows the slice layout:
+    // requests go to a member of the key's responsible slice, chosen
+    // uniformly. The plan is shared by every sweep row (the spec is
+    // deterministic).
     let plan = spec.build_nodes();
     let partition = plan[0].partition();
     let mut members_by_slice: Vec<Vec<NodeId>> = vec![Vec::new(); args.slices as usize];

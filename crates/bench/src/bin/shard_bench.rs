@@ -204,10 +204,9 @@ fn deliver_round(batched: bool, rounds: usize) {
     }
 }
 
-/// The threaded-runtime transport: one channel send per transport unit.
-/// Unbatched sends every message individually; batched sends the round as
-/// the effect buffer grouped it — one send (and one routing lookup) per
-/// destination, matching `ThreadedCluster`'s router.
+/// A channel transport: one channel send per transport unit. Unbatched
+/// sends every message individually; batched sends the round as the effect
+/// buffer grouped it — one send (and one routing lookup) per destination.
 fn channel_round(batched: bool, rounds: usize) {
     use std::collections::HashMap;
     use std::sync::mpsc;

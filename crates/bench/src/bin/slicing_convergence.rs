@@ -1,10 +1,10 @@
 //! Extension experiment — slicing accuracy and resilience to correlated
-//! failures (paper §IV-A: ordered slicing vs the "coin toss" strawman).
+//! failures (paper §IV-A).
 //!
 //! Runs the ordered rank-estimation slicer gossip over a population of nodes,
 //! measures how quickly the assignment converges to the ideal (global
-//! knowledge) assignment, then wipes out most of one slice and compares how
-//! the ordered slicer and the hash slicer rebalance.
+//! knowledge) assignment, then wipes out most of one slice and measures how
+//! far the survivors repopulate it.
 //!
 //! Run with `cargo run -p dataflasks-bench --release --bin slicing_convergence`.
 
@@ -51,8 +51,8 @@ fn main() {
         }
     }
 
-    // Correlated failure: remove 80% of the members of slice 0, then compare
-    // how the two slicers repopulate it.
+    // Correlated failure: remove 80% of the members of slice 0, then measure
+    // how the ordered slicer repopulates it.
     let assignment = assignment_of(&slicers);
     let mut slice0_members: Vec<NodeId> = assignment
         .iter()
@@ -77,18 +77,6 @@ fn main() {
         .filter(|(_, (id, _))| !to_kill.contains(id))
         .map(|(i, _)| i)
         .collect();
-    // Hash slicer comparison: apply the *same kind* of correlated failure to
-    // the hash-assigned slice 0 (kill 80% of its members). Because the hash
-    // assignment is a pure function of the node identity it can never
-    // rebalance, so slice 0 stays at the surviving 20% forever.
-    let hash_members: Vec<NodeId> = profiles
-        .iter()
-        .map(|&(id, _)| id)
-        .filter(|&id| HashSlicer::slice_for(id, partition).index() == 0)
-        .collect();
-    let hash_killed = hash_members.len() * 8 / 10;
-    let hash_slice0 = hash_members.len() - hash_killed;
-
     // Ordered slicer: survivors keep gossiping; departed nodes' samples expire
     // and the ranks rebalance.
     let mut surviving_slicers: Vec<OrderedSlicer> =
@@ -110,11 +98,7 @@ fn main() {
 
     println!("slicer,slice0_population_after_failure,expected_per_slice");
     println!("ordered,{ordered_slice0},{expected_per_slice}");
-    println!("hash,{hash_slice0},{expected_per_slice}");
-    println!(
-        "# converged accuracy before failure: {final_accuracy:.3}; the ordered slicer repopulates \
-         slice 0 close to the balanced size, the hash slicer cannot."
-    );
+    println!("# converged accuracy before failure: {final_accuracy:.3}");
 }
 
 fn gossip_round(slicers: &mut [OrderedSlicer], rng: &mut StdRng) {

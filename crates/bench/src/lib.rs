@@ -35,16 +35,14 @@ pub struct ExperimentConfig {
     /// Whether anti-entropy repair runs during the experiment (the paper's
     /// configuration leaves it off; the churn experiment turns it on).
     pub anti_entropy: bool,
-    /// Contact-selection policy of the client.
-    pub policy: LoadBalancerPolicy,
     /// Seed controlling every random choice of the run.
     pub seed: u64,
 }
 
 impl ExperimentConfig {
     /// The configuration skeleton used by the paper's two figures: a
-    /// write-only load over a warmed-up cluster with the prototype's random
-    /// load balancer and no anti-entropy.
+    /// write-only load over a warmed-up cluster with random contact
+    /// selection and no anti-entropy.
     #[must_use]
     pub fn paper_default(nodes: usize, slices: u32, operations: usize) -> Self {
         Self {
@@ -56,7 +54,6 @@ impl ExperimentConfig {
             op_interval: Duration::from_millis(50),
             value_size: 128,
             anti_entropy: false,
-            policy: LoadBalancerPolicy::Random,
             seed: 0xDF2013,
         }
     }
@@ -489,7 +486,6 @@ pub fn run_write_experiment(config: ExperimentConfig) -> ExperimentResult {
         seed: config.seed,
         ..SimConfig::default()
     });
-    sim.set_client_policy(config.policy);
     sim.spawn_cluster(config.nodes, node_config);
     sim.run_for(config.warmup);
 

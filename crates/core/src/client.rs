@@ -1,20 +1,20 @@
 //! The DataFlasks client library.
 //!
 //! The client library implements the `put(key, value)` / `get(key)` API on
-//! top of the epidemic substrate. It asks the Load Balancer for a contact
-//! node, attaches a unique request identifier to every operation and absorbs
-//! the multiple replies that epidemic dissemination produces (paper §V: "The
-//! second component must know how to handle multiple replies for the same
-//! request"): the first reply completes the operation, later ones only update
-//! the slice cache of the load balancer.
+//! top of the epidemic substrate. It sends every operation to a uniformly
+//! random contact node (the paper's prototype load balancer, §V), attaches a
+//! unique request identifier and absorbs the multiple replies that epidemic
+//! dissemination produces (paper §V: "The second component must know how to
+//! handle multiple replies for the same request"): the first reply completes
+//! the operation, later ones are counted as duplicates.
 
 use std::collections::HashMap;
 
+use rand::seq::SliceRandom;
 use rand::Rng;
 
 use dataflasks_types::{Duration, Key, NodeId, RequestId, SimTime, StoredObject, Value, Version};
 
-use crate::load_balancer::LoadBalancer;
 use crate::message::{ClientReply, ClientRequest, ReplyBody};
 
 /// Outcome of a completed client operation.
@@ -104,12 +104,11 @@ struct PendingOperation {
 /// # Example
 ///
 /// ```
-/// use dataflasks_core::{ClientLibrary, LoadBalancer, LoadBalancerPolicy};
-/// use dataflasks_types::{Key, NodeId, SimTime, SlicePartition, Value, Version};
+/// use dataflasks_core::ClientLibrary;
+/// use dataflasks_types::{Key, NodeId, SimTime, Value, Version};
 /// use rand::SeedableRng;
 ///
-/// let lb = LoadBalancer::new(LoadBalancerPolicy::Random, vec![NodeId::new(1)], SlicePartition::new(10));
-/// let mut client = ClientLibrary::new(7, lb);
+/// let mut client = ClientLibrary::new(7, vec![NodeId::new(1)]);
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 /// let issued = client
 ///     .put(Key::from_user_key("a"), Version::new(1), Value::from_bytes(b"x"), SimTime::ZERO, &mut rng)
@@ -120,7 +119,8 @@ struct PendingOperation {
 pub struct ClientLibrary {
     id: u64,
     next_sequence: u64,
-    load_balancer: LoadBalancer,
+    /// Nodes an operation may be sent to; each operation draws one uniformly.
+    contacts: Vec<NodeId>,
     pending: HashMap<RequestId, PendingOperation>,
     stats: ClientStats,
 }
@@ -136,13 +136,13 @@ pub struct IssuedRequest {
 }
 
 impl ClientLibrary {
-    /// Creates a client library with the given identifier and load balancer.
+    /// Creates a client library with the given identifier and contact nodes.
     #[must_use]
-    pub fn new(id: u64, load_balancer: LoadBalancer) -> Self {
+    pub fn new(id: u64, contacts: Vec<NodeId>) -> Self {
         Self {
             id,
             next_sequence: 0,
-            load_balancer,
+            contacts,
             pending: HashMap::new(),
             stats: ClientStats::default(),
         }
@@ -166,9 +166,9 @@ impl ClientLibrary {
         self.pending.len()
     }
 
-    /// Access to the embedded load balancer (e.g. to refresh contacts).
-    pub fn load_balancer_mut(&mut self) -> &mut LoadBalancer {
-        &mut self.load_balancer
+    /// Replaces the contact nodes (e.g. after the live membership changed).
+    pub fn set_contacts(&mut self, contacts: Vec<NodeId>) {
+        self.contacts = contacts;
     }
 
     /// Issues a put operation. Returns `None` if no contact node is known.
@@ -180,7 +180,7 @@ impl ClientLibrary {
         now: SimTime,
         rng: &mut R,
     ) -> Option<IssuedRequest> {
-        let contact = self.load_balancer.pick(Some(key), rng)?;
+        let contact = *self.contacts.choose(rng)?;
         let id = self.next_request_id();
         self.pending.insert(
             id,
@@ -211,7 +211,7 @@ impl ClientLibrary {
         now: SimTime,
         rng: &mut R,
     ) -> Option<IssuedRequest> {
-        let contact = self.load_balancer.pick(Some(key), rng)?;
+        let contact = *self.contacts.choose(rng)?;
         let id = self.next_request_id();
         self.pending.insert(
             id,
@@ -237,12 +237,8 @@ impl ClientLibrary {
     /// from many independent replicas and a later one may still hold the
     /// object — it is remembered and reported by [`Self::expire_pending`] if
     /// nothing better arrives. Replies for already-completed operations are
-    /// absorbed (and still teach the load balancer which slice the responder
-    /// belongs to).
+    /// absorbed and counted as duplicates.
     pub fn on_reply(&mut self, reply: &ClientReply, now: SimTime) -> Option<CompletedOperation> {
-        if let Some(slice) = reply.responder_slice {
-            self.load_balancer.learn(reply.responder, slice);
-        }
         if !self.pending.contains_key(&reply.request) {
             self.stats.duplicate_replies += 1;
             return None;
@@ -325,18 +321,11 @@ impl ClientLibrary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::load_balancer::LoadBalancerPolicy;
-    use dataflasks_types::SlicePartition;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn client(contacts: u64) -> ClientLibrary {
-        let lb = LoadBalancer::new(
-            LoadBalancerPolicy::Random,
-            (0..contacts).map(NodeId::new).collect(),
-            SlicePartition::new(4),
-        );
-        ClientLibrary::new(42, lb)
+        ClientLibrary::new(42, (0..contacts).map(NodeId::new).collect())
     }
 
     fn ack(request: RequestId, responder: u64) -> ClientReply {
@@ -537,45 +526,22 @@ mod tests {
     }
 
     #[test]
-    fn replies_teach_the_load_balancer() {
-        let lb = LoadBalancer::new(
-            LoadBalancerPolicy::SliceAware,
-            (0..8).map(NodeId::new).collect(),
-            SlicePartition::new(2),
-        );
-        let mut c = ClientLibrary::new(7, lb);
-        let mut rng = StdRng::seed_from_u64(0);
-        let key_slice0 = SlicePartition::new(2).range_start(dataflasks_types::SliceId::new(1));
+    fn contacts_are_drawn_at_random_and_can_be_replaced() {
+        let mut c = client(10);
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..200 {
+            let issued = c
+                .get(Key::from_user_key("a"), None, SimTime::ZERO, &mut rng)
+                .unwrap();
+            seen.insert(issued.contact);
+        }
+        assert!(seen.len() >= 8, "random picks should cover most contacts");
+        c.set_contacts(vec![NodeId::new(9)]);
         let issued = c
-            .put(
-                key_slice0,
-                Version::new(1),
-                Value::default(),
-                SimTime::ZERO,
-                &mut rng,
-            )
+            .get(Key::from_user_key("a"), None, SimTime::ZERO, &mut rng)
             .unwrap();
-        let reply = ClientReply {
-            request: issued.request.id(),
-            responder: NodeId::new(5),
-            responder_slice: Some(dataflasks_types::SliceId::new(1)),
-            body: ReplyBody::PutAck {
-                key: key_slice0,
-                version: Version::new(1),
-            },
-        };
-        c.on_reply(&reply, SimTime::from_millis(1));
-        // The next operation on the same slice goes straight to the learned node.
-        let next = c
-            .put(
-                key_slice0,
-                Version::new(2),
-                Value::default(),
-                SimTime::from_millis(2),
-                &mut rng,
-            )
-            .unwrap();
-        assert_eq!(next.contact, NodeId::new(5));
+        assert_eq!(issued.contact, NodeId::new(9));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Node handlers never perform IO and never allocate per-dispatch result
 //! vectors: they write the effects of handling one input — protocol sends,
 //! client replies, timer re-arms — into an [`Effects`] sink owned by the
-//! caller. The environment (the discrete-event simulator, the threaded
+//! caller. The environment (the discrete-event simulator, the worker-pool
 //! runtime, or any future backend) owns a reusable [`EffectBuffer`] per node,
 //! so steady-state dispatch reuses one allocation for its whole lifetime.
 //!
@@ -15,7 +15,7 @@
 //!   timer, submit a client request, hand each effect to a routing callback),
 //! * [`Environment`] — the driver interface environments expose, so harness
 //!   code (experiments, parity tests, future schedulers) can drive a cluster
-//!   without knowing whether it is simulated or threaded,
+//!   without knowing whether it is simulated or concurrent,
 //! * [`ClusterSpec`] — a deterministic cluster description (capacities,
 //!   seed, configuration) that every environment can materialise
 //!   identically, which is what makes cross-environment parity testable.
@@ -410,14 +410,14 @@ impl<S: DataStore> NodeHost<S> {
     }
 }
 
-/// The driver interface both environments implement.
+/// The driver interface every environment implements.
 ///
 /// The four operations are exactly the inputs a DataFlasks node reacts to,
 /// plus failure injection and a way to observe the client-visible outcome.
 /// Harness code written against this trait runs unchanged on the
-/// discrete-event simulator and on the threaded runtime — the environment
-/// parity test drives the same seeded scenario through both and asserts
-/// identical results.
+/// discrete-event simulator and on the worker-pool runtime over either
+/// transport — the environment parity test drives the same seeded scenario
+/// through all of them and asserts identical results.
 pub trait Environment {
     /// Injects a protocol message for delivery to `to`, as if `from` had
     /// sent it.
@@ -431,7 +431,7 @@ pub trait Environment {
     /// `client` identifies the submitter to [`Self::drain_effects`] and must
     /// not collide with ids owned by the environment's native client
     /// machinery (the simulator's registered `ClientLibrary` ids, the
-    /// threaded runtime's reserved blocking-API id `u64::MAX`);
+    /// concurrent runtime's reserved blocking-API id `u64::MAX`);
     /// implementations panic on a collision rather than silently diverting
     /// replies.
     fn submit_client_request(&mut self, client: ClientId, contact: NodeId, request: ClientRequest);
@@ -453,13 +453,13 @@ pub trait Environment {
     fn restart_node(&mut self, node: NodeId);
 
     /// Lets the environment process outstanding work for up to `budget`
-    /// (virtual time for the simulator, wall-clock time for the threaded
+    /// (virtual time for the simulator, wall-clock time for the concurrent
     /// runtime) and returns the replies to operations submitted through
     /// [`Self::submit_client_request`], in arrival order.
     ///
     /// Replies to operations issued through an environment's *native* client
     /// machinery (the simulator's registered `ClientLibrary` clients, the
-    /// threaded runtime's blocking `put`/`get`) are delivered through those
+    /// concurrent runtime's blocking `put`/`get`) are delivered through those
     /// APIs and never surface here — the two driving styles can be mixed on
     /// one environment without stealing each other's replies.
     fn drain_effects(&mut self, budget: Duration) -> Vec<ClientReply>;

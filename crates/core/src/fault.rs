@@ -3,12 +3,12 @@
 //! A [`FaultPlan`] is the one decision point every backend consults before
 //! handing a routed transport unit (an [`Output::Send`](crate::Output) or
 //! [`Output::SendBatch`](crate::Output)) to its wire: the simulator inside
-//! its event-queue routing, the threaded runtime at inbox push, the async
-//! and socket backends at the frame boundary. Because partition and
+//! its event-queue routing, the async and socket backends at the frame
+//! boundary. Because partition and
 //! blocked-link verdicts are pure functions of the `(from, to)` pair, the
 //! same plan produces the same refusals on every backend regardless of
 //! message interleaving — which is what lets the cross-backend parity
-//! fuzzer replay partition and full-loss windows on all four runtimes and
+//! fuzzer replay partition and full-loss windows on every backend and
 //! demand byte-identical replies and statistics.
 //!
 //! Probabilistic faults (fractional loss, duplication) draw from a counter
@@ -48,8 +48,8 @@ pub enum LinkVerdict {
 /// All three counters count *protocol messages*, not transport units: a
 /// dropped frame carrying an N-message batch counts N. The verdict is still
 /// drawn once per transport unit, but the backends coalesce messages into
-/// units on scheduling-dependent boundaries (the threaded runtime batches a
-/// whole dispatch round, the simulator one event), so only the per-message
+/// units on scheduling-dependent boundaries (the worker-pool runtime batches
+/// a whole dispatch round, the simulator one event), so only the per-message
 /// count is a pure function of the deterministic message flow — which is
 /// what lets the parity fuzzer compare these fields exactly across backends.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

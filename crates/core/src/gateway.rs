@@ -1,8 +1,8 @@
-//! The client-reply gateway shared by the concurrent runtimes.
+//! The client-reply gateway of the concurrent runtime.
 //!
-//! Both the threaded and the worker-pool runtimes funnel every
-//! [`Output::Reply`](crate::Output) into one cluster-wide mpsc channel and
-//! then answer three kinds of consumer from it:
+//! The worker-pool runtime funnels every [`Output::Reply`](crate::Output)
+//! into one cluster-wide mpsc channel and then answers three kinds of
+//! consumer from it:
 //!
 //! * the **pipelined client API** ([`PipelinedClient`]): non-blocking
 //!   `submit_put`/`submit_get` calls register a *completion slot* per
@@ -142,9 +142,9 @@ struct PendingSlot {
     saw_miss: bool,
 }
 
-/// The uniform pipelined client surface of the concurrent runtimes
-/// (`ThreadedCluster`, `AsyncCluster`, `SocketCluster` — every backend
-/// whose client path runs through a [`ClientGateway`], via [`ClientPort`]).
+/// The uniform pipelined client surface of the concurrent runtime
+/// (`AsyncCluster`, `SocketCluster` — every backend whose client path runs
+/// through a [`ClientGateway`], via [`ClientPort`]).
 ///
 /// `submit_put`/`submit_get` enqueue the operation without waiting (the
 /// request id is allocated and a completion slot registered before the

@@ -8,15 +8,14 @@
 //! * [`DataFlasksNode`] — the node state machine bundling the Peer Sampling
 //!   Service, the Slice Manager, the request Handler, the Data Store and the
 //!   anti-entropy repair extension (paper §IV and §V),
-//! * [`ClientLibrary`] and [`LoadBalancer`] — the client-side components
-//!   (paper §V), including the slice-aware contact cache the paper's §VII
-//!   identifies as an optimisation path,
+//! * [`ClientLibrary`] — the client-side component (paper §V): it picks a
+//!   random contact node per operation and absorbs the many replies an
+//!   epidemic produces,
 //! * [`Effects`], [`EffectBuffer`], [`NodeHost`], [`Environment`] — the
 //!   sans-io environment layer: node handlers write their effects into a
 //!   reusable sink, and every environment (the discrete-event simulator of
-//!   `dataflasks-sim`, the threaded runtime of `dataflasks-runtime`, the
-//!   worker-pool runtime of `dataflasks-net-env`) drives nodes through the
-//!   same interface,
+//!   `dataflasks-sim` and the worker-pool runtime of `dataflasks-net-env`)
+//!   drives nodes through the same interface,
 //! * [`Message`], [`Output`], [`TimerKind`] — the protocol surface those
 //!   environments route,
 //! * [`NodeStats`] — the per-node message accounting the paper's evaluation
@@ -68,7 +67,6 @@ pub mod dedup;
 pub mod env;
 pub mod fault;
 pub mod gateway;
-pub mod load_balancer;
 pub mod message;
 pub mod node;
 pub mod sched;
@@ -85,13 +83,12 @@ pub use gateway::{
     ClientGateway, ClientPort, Completion, GatewayError, PipelinedClient, Ticket, TicketKind,
     TicketOutcome,
 };
-pub use load_balancer::{LoadBalancer, LoadBalancerPolicy};
 pub use message::{
     ClientId, ClientReply, ClientRequest, DisseminationPhase, GetRequest, Message, Output,
     PutRequest, ReplyBody, TimerKind,
 };
 pub use node::DataFlasksNode;
-pub use sched::{Inbox, Poll, PushOutcome, RecvOutcome, Scheduler, SchedulerConfig, StealPolicy};
+pub use sched::{Inbox, Poll, PushOutcome, Scheduler, SchedulerConfig, StealPolicy};
 pub use stats::{MessageKind, NodeStats};
 pub use wheel::{DueTimer, TimerWheel, WheelInstant};
 pub use wire::{decode_frame, encode_frame, encode_output, DecodedFrame, WireError};

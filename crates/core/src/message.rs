@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use dataflasks_membership::{NewscastExchange, ShuffleRequest, ShuffleResponse};
+use dataflasks_membership::{ShuffleRequest, ShuffleResponse};
 use dataflasks_slicing::SliceExchange;
 use dataflasks_store::StoreDigest;
 use dataflasks_types::{
@@ -63,9 +63,6 @@ pub enum Message {
     Shuffle(ShuffleRequest),
     /// Cyclon shuffle response.
     ShuffleReply(ShuffleResponse),
-    /// Newscast exchange (alternative Peer Sampling Service), reserved for
-    /// membership-comparison experiments.
-    Newscast(NewscastExchange),
     /// Slicing gossip push.
     SliceGossip(SliceExchange),
     /// Slicing gossip reply (pull half of the push-pull exchange).
@@ -121,7 +118,7 @@ impl Message {
     pub fn kind(&self) -> crate::stats::MessageKind {
         use crate::stats::MessageKind;
         match self {
-            Self::Shuffle(_) | Self::ShuffleReply(_) | Self::Newscast(_) => MessageKind::Membership,
+            Self::Shuffle(_) | Self::ShuffleReply(_) => MessageKind::Membership,
             Self::SliceGossip(_) | Self::SliceGossipReply(_) => MessageKind::Slicing,
             Self::Put(_) | Self::Get(_) => MessageKind::Request,
             Self::AntiEntropyDigest { .. }
@@ -181,8 +178,9 @@ pub struct ClientReply {
     pub request: RequestId,
     /// The node that produced the reply.
     pub responder: NodeId,
-    /// The slice the responder belonged to when it replied (used by the
-    /// slice-aware load balancer to learn the slice membership).
+    /// The slice the responder belonged to when it replied. Carried on the
+    /// wire for clients that want to learn the slice layout; the bundled
+    /// client library does not read it.
     pub responder_slice: Option<SliceId>,
     /// The payload of the reply.
     pub body: ReplyBody,
@@ -229,9 +227,8 @@ pub enum Output {
     ///
     /// Produced by [`crate::EffectBuffer`] when one dispatch round emits
     /// more than one message to the same destination: the environments
-    /// route the whole batch with one event-queue entry (simulator), one
-    /// channel send (threaded runtime) or one wire frame (worker-pool
-    /// runtime), amortising per-message overhead, and unpack it in order at
+    /// route the whole batch with one event-queue entry (simulator) or one
+    /// wire frame (worker-pool runtime), amortising per-message overhead, and unpack it in order at
     /// the receiver.
     SendBatch {
         /// Destination node.

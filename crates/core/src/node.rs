@@ -6,7 +6,7 @@
 //! written sans-io: every input (a protocol message, a client request or a
 //! periodic timer) is handled by a method that writes the resulting effects —
 //! sends, client replies, timer re-arms — into an [`Effects`] sink, and the
-//! environment — the discrete-event simulator or the threaded runtime — owns
+//! environment — the discrete-event simulator or the worker-pool runtime — owns
 //! the transport and the clock. With a reusable
 //! [`EffectBuffer`](crate::EffectBuffer) and the node's internal scratch
 //! buffers, steady-state dispatch performs no per-message allocation for the
@@ -19,8 +19,8 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use dataflasks_membership::{CyclonProtocol, NodeDescriptor, PeerSampling, SliceView};
-use dataflasks_slicing::{OrderedSlicer, Slicer};
+use dataflasks_membership::{CyclonProtocol, NodeDescriptor, SliceView};
+use dataflasks_slicing::OrderedSlicer;
 use dataflasks_store::{DataStore, PutOutcome, StoreDigest};
 use dataflasks_types::{
     Key, KeyRange, NodeConfig, NodeId, NodeProfile, RequestId, SimTime, SliceId, SlicePartition,
@@ -291,7 +291,6 @@ impl<S: DataStore> DataFlasksNode<S> {
                 self.cyclon.handle_response(response);
                 self.absorb_membership_knowledge();
             }
-            Message::Newscast(_) => {}
             Message::SliceGossip(exchange) => {
                 let reply = self.slicer.handle_exchange(exchange, &mut self.rng);
                 self.refresh_slice_assignment();
@@ -321,7 +320,7 @@ impl<S: DataStore> DataFlasksNode<S> {
     }
 
     /// Handles an operation submitted by a client library to this node (the
-    /// contact node chosen by the load balancer), writing the resulting
+    /// contact node the client picked), writing the resulting
     /// effects into `fx`.
     pub fn handle_client_request(
         &mut self,

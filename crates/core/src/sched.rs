@@ -1,21 +1,15 @@
-//! Host scheduling shared by the concurrent runtimes.
+//! Host scheduling for the worker-pool runtime.
 //!
-//! Every concurrent backend faces the same three questions: where do a
-//! host's pending inputs wait (an [`Inbox`]), how much of that backlog one
-//! dispatch round may absorb before flushing ([`SchedulerConfig::run_budget`]),
-//! and which host runs next when many are ready (the [`Scheduler`]'s fair
-//! readiness queue). This module answers them once, in the sans-io core, so
-//! the backends differ only in how they map hosts to threads:
-//!
-//! * the **threaded runtime** (`dataflasks-runtime`) is the degenerate
-//!   one-thread-per-host case: each node thread blocks on its own [`Inbox`]
-//!   and absorbs backlog up to the run budget — it needs no readiness queue
-//!   because the OS scheduler multiplexes the threads,
-//! * the **worker-pool runtime** (`dataflasks-net-env`, over either of its
-//!   transports) multiplexes thousands of hosts over a small worker pool:
-//!   routing an input to a host pushes onto its [`Inbox`] and marks the host
-//!   ready in the shared [`Scheduler`]; workers pop ready hosts, absorb up
-//!   to the run budget, flush, and re-mark the host if backlog remains.
+//! A concurrent backend faces three questions: where do a host's pending
+//! inputs wait (an [`Inbox`]), how much of that backlog one dispatch round
+//! may absorb before flushing ([`SchedulerConfig::run_budget`]), and which
+//! host runs next when many are ready (the [`Scheduler`]'s fair readiness
+//! queue). This module answers them in the sans-io core. The worker-pool
+//! runtime (`dataflasks-net-env`, over either of its transports) multiplexes
+//! thousands of hosts over a small worker pool: routing an input to a host
+//! pushes onto its [`Inbox`] and marks the host ready in the shared
+//! [`Scheduler`]; workers pop ready hosts, absorb up to the run budget,
+//! flush, and re-mark the host if backlog remains.
 //!
 //! # Sharded, work-stealing readiness
 //!
@@ -51,7 +45,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex};
 use std::time::Duration as StdDuration;
 
 /// Default number of already-queued inputs one dispatch round absorbs before
@@ -71,7 +65,7 @@ pub enum StealPolicy {
     Disabled,
 }
 
-/// Scheduling knobs shared by the concurrent runtimes.
+/// Scheduling knobs of the worker-pool runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SchedulerConfig {
     /// Upper bound on how many pending inputs one dispatch round feeds into
@@ -95,17 +89,6 @@ impl SchedulerConfig {
             self.run_budget
         }
     }
-}
-
-/// The outcome of a blocking [`Inbox::recv_timeout`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum RecvOutcome<T> {
-    /// An input was dequeued.
-    Item(T),
-    /// The timeout elapsed with the inbox empty.
-    TimedOut,
-    /// The inbox is closed and fully drained; no input will ever arrive.
-    Closed,
 }
 
 /// The outcome of a bounded [`Inbox::try_push`].
@@ -132,16 +115,12 @@ impl<T> PushOutcome<T> {
     }
 }
 
-/// A host's mailbox: an MPSC queue with blocking receive, close-on-failure
-/// semantics and an optional high-water mark for backpressure.
-///
-/// Closing the inbox (a node crash, a cluster shutdown) lets a receiver
-/// blocked in [`Inbox::recv_timeout`] observe `Closed` once the queue is
-/// drained — the lock-and-condvar equivalent of a channel disconnect.
+/// A host's mailbox: an MPSC queue with close-on-failure semantics and an
+/// optional high-water mark for backpressure. Receivers never block: a
+/// worker drains it when the [`Scheduler`] hands it the host.
 #[derive(Debug, Default)]
 pub struct Inbox<T> {
     queue: Mutex<InboxState<T>>,
-    available: Condvar,
     /// Depth past which [`Self::try_push`] reports saturation; `0` means
     /// unbounded.
     high_water: usize,
@@ -151,10 +130,6 @@ pub struct Inbox<T> {
 struct InboxState<T> {
     items: VecDeque<T>,
     closed: bool,
-    /// Receivers blocked in [`Inbox::recv_timeout`]. A push notifies the
-    /// condvar only when this is non-zero: a notify is a futex syscall even
-    /// with nobody waiting, and pool workers drain without ever waiting.
-    waiters: usize,
 }
 
 impl<T> Default for InboxState<T> {
@@ -162,7 +137,6 @@ impl<T> Default for InboxState<T> {
         Self {
             items: VecDeque::new(),
             closed: false,
-            waiters: 0,
         }
     }
 }
@@ -173,7 +147,6 @@ impl<T> Inbox<T> {
     pub fn new() -> Self {
         Self {
             queue: Mutex::new(InboxState::default()),
-            available: Condvar::new(),
             high_water: 0,
         }
     }
@@ -184,7 +157,6 @@ impl<T> Inbox<T> {
     pub fn bounded(high_water: usize) -> Self {
         Self {
             queue: Mutex::new(InboxState::default()),
-            available: Condvar::new(),
             high_water,
         }
     }
@@ -208,11 +180,11 @@ impl<T> Inbox<T> {
     ///
     /// The input itself, if the inbox is closed.
     pub fn push(&self, item: T) -> Result<(), T> {
-        let state = self.queue.lock().expect("inbox lock poisoned");
+        let mut state = self.queue.lock().expect("inbox lock poisoned");
         if state.closed {
             return Err(item);
         }
-        self.append(state, item);
+        state.items.push_back(item);
         Ok(())
     }
 
@@ -220,26 +192,15 @@ impl<T> Inbox<T> {
     /// hands the input back ([`PushOutcome::Saturated`]) instead of growing,
     /// so the sender can defer delivery until the receiver drains.
     pub fn try_push(&self, item: T) -> PushOutcome<T> {
-        let state = self.queue.lock().expect("inbox lock poisoned");
+        let mut state = self.queue.lock().expect("inbox lock poisoned");
         if state.closed {
             return PushOutcome::Closed(item);
         }
         if self.high_water > 0 && state.items.len() >= self.high_water {
             return PushOutcome::Saturated(item);
         }
-        self.append(state, item);
-        PushOutcome::Delivered
-    }
-
-    /// Appends `item` under the held lock, then wakes a receiver only if
-    /// one is blocked.
-    fn append(&self, mut state: MutexGuard<'_, InboxState<T>>, item: T) {
         state.items.push_back(item);
-        let wake = state.waiters > 0;
-        drop(state);
-        if wake {
-            self.available.notify_one();
-        }
+        PushOutcome::Delivered
     }
 
     /// Dequeues one input without blocking.
@@ -249,40 +210,6 @@ impl<T> Inbox<T> {
             .expect("inbox lock poisoned")
             .items
             .pop_front()
-    }
-
-    /// Dequeues one input, waiting up to `timeout` for one to arrive.
-    /// Queued inputs are still delivered after a close; `Closed` is only
-    /// reported once the queue is empty.
-    pub fn recv_timeout(&self, timeout: StdDuration) -> RecvOutcome<T> {
-        let mut state = self.queue.lock().expect("inbox lock poisoned");
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                return RecvOutcome::Item(item);
-            }
-            if state.closed {
-                return RecvOutcome::Closed;
-            }
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if remaining.is_zero() {
-                return RecvOutcome::TimedOut;
-            }
-            state.waiters += 1;
-            let (next, result) = self
-                .available
-                .wait_timeout(state, remaining)
-                .expect("inbox lock poisoned");
-            state = next;
-            state.waiters -= 1;
-            if result.timed_out() && state.items.is_empty() {
-                return if state.closed {
-                    RecvOutcome::Closed
-                } else {
-                    RecvOutcome::TimedOut
-                };
-            }
-        }
     }
 
     /// Moves up to `budget` inputs into `into`, preserving order. Returns how
@@ -306,11 +233,10 @@ impl<T> Inbox<T> {
         self.len() == 0
     }
 
-    /// Closes the inbox: later pushes are dropped and, once the queue is
-    /// drained, blocked receivers observe [`RecvOutcome::Closed`].
+    /// Closes the inbox: later pushes are handed back to their senders.
+    /// Inputs already queued stay queued until drained.
     pub fn close(&self) {
         self.queue.lock().expect("inbox lock poisoned").closed = true;
-        self.available.notify_all();
     }
 
     /// Reopens a closed inbox (a restarted node accepting traffic again).
@@ -671,12 +597,13 @@ mod tests {
         let mut batch = Vec::new();
         assert_eq!(inbox.drain_up_to(3, &mut batch), 3);
         assert_eq!(batch, vec![1, 2, 3]);
-        assert_eq!(inbox.recv_timeout(TICK), RecvOutcome::Item(4));
-        assert_eq!(inbox.recv_timeout(TICK), RecvOutcome::TimedOut);
+        assert_eq!(inbox.try_pop(), Some(4));
+        assert_eq!(inbox.try_pop(), None);
     }
 
     #[test]
     fn closed_inbox_drops_pushes_and_drains_before_reporting_closed() {
+        // "Closed" is reported to senders; queued inputs still drain.
         let inbox = Inbox::new();
         assert!(inbox.push("queued").is_ok());
         inbox.close();
@@ -686,58 +613,11 @@ mod tests {
             inbox.try_push("also dropped"),
             PushOutcome::Closed("also dropped")
         );
-        assert_eq!(inbox.recv_timeout(TICK), RecvOutcome::Item("queued"));
-        assert_eq!(inbox.recv_timeout(TICK), RecvOutcome::Closed);
+        assert_eq!(inbox.try_pop(), Some("queued"));
+        assert_eq!(inbox.try_pop(), None);
         inbox.reopen();
         assert!(inbox.push("again").is_ok());
         assert_eq!(inbox.try_pop(), Some("again"));
-    }
-
-    #[test]
-    fn close_wakes_a_blocked_receiver() {
-        let inbox: Arc<Inbox<u8>> = Arc::new(Inbox::new());
-        let waiter = Arc::clone(&inbox);
-        let handle = std::thread::spawn(move || waiter.recv_timeout(StdDuration::from_secs(30)));
-        std::thread::sleep(TICK);
-        inbox.close();
-        assert_eq!(handle.join().unwrap(), RecvOutcome::Closed);
-    }
-
-    #[test]
-    fn push_wakes_a_blocked_receiver() {
-        let inbox: Arc<Inbox<u8>> = Arc::new(Inbox::new());
-        let waiter = Arc::clone(&inbox);
-        let handle = std::thread::spawn(move || waiter.recv_timeout(StdDuration::from_secs(30)));
-        std::thread::sleep(TICK);
-        inbox.push(9).unwrap();
-        assert_eq!(handle.join().unwrap(), RecvOutcome::Item(9));
-    }
-
-    #[test]
-    fn both_pushes_wake_a_blocked_receiver_long_before_its_timeout() {
-        // Pushes notify only counted waiters; a receiver already blocked
-        // must still be woken by either push path, not by its timeout.
-        let inbox: Arc<Inbox<u8>> = Arc::new(Inbox::bounded(4));
-        for (value, forced) in [(1, true), (2, false)] {
-            let waiter = Arc::clone(&inbox);
-            let handle = std::thread::spawn(move || {
-                let started = std::time::Instant::now();
-                let outcome = waiter.recv_timeout(StdDuration::from_secs(10));
-                (outcome, started.elapsed())
-            });
-            std::thread::sleep(TICK);
-            if forced {
-                inbox.push(value).unwrap();
-            } else {
-                assert_eq!(inbox.try_push(value), PushOutcome::Delivered);
-            }
-            let (outcome, waited) = handle.join().unwrap();
-            assert_eq!(outcome, RecvOutcome::Item(value));
-            assert!(
-                waited < StdDuration::from_secs(5),
-                "woken by the push, not the timeout ({waited:?})"
-            );
-        }
     }
 
     #[test]

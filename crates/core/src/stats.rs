@@ -11,7 +11,7 @@ use std::fmt;
 /// Broad categories of protocol messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MessageKind {
-    /// Peer Sampling Service traffic (Cyclon shuffles, Newscast exchanges).
+    /// Peer Sampling Service traffic (Cyclon shuffles and their replies).
     Membership,
     /// Distributed slicing gossip.
     Slicing,

@@ -13,6 +13,9 @@
 //! message  := tag: u8 | payload               (tag identifies the variant)
 //! ```
 //!
+//! Tags are stable: tag 2 belonged to a retired membership message and is
+//! now unknown, and the tags after it keep their numbers.
+//!
 //! All integers are little-endian; byte strings and collections carry a `u32`
 //! length/count prefix. A whole multi-message batch is a *single* frame, so
 //! the receiving reactor performs one read, one decode and one dispatch round
@@ -68,7 +71,7 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
-use dataflasks_membership::{NewscastExchange, NodeDescriptor, ShuffleRequest, ShuffleResponse};
+use dataflasks_membership::{NodeDescriptor, ShuffleRequest, ShuffleResponse};
 use dataflasks_slicing::{AttributeSample, SliceExchange};
 use dataflasks_store::StoreDigest;
 use dataflasks_types::{
@@ -301,10 +304,6 @@ fn encode_message(message: &Message, out: &mut Vec<u8>) {
         Message::ShuffleReply(response) => {
             out.push(1);
             put_descriptors(out, &response.descriptors);
-        }
-        Message::Newscast(exchange) => {
-            out.push(2);
-            put_descriptors(out, &exchange.descriptors);
         }
         Message::SliceGossip(exchange) => {
             out.push(3);
@@ -568,9 +567,6 @@ fn walk_message(reader: &mut Reader<'_>) -> Result<FrameEntry, WireError> {
             descriptors: get_descriptors(reader)?,
         }),
         1 => Message::ShuffleReply(ShuffleResponse {
-            descriptors: get_descriptors(reader)?,
-        }),
-        2 => Message::Newscast(NewscastExchange {
             descriptors: get_descriptors(reader)?,
         }),
         3 => Message::SliceGossip(SliceExchange {
@@ -857,16 +853,23 @@ mod tests {
 
     #[test]
     fn unknown_tags_and_corrupt_bodies_are_malformed() {
-        // A frame whose single message has tag 200.
         let mut buf = Vec::new();
         encode_frame(NodeId::new(1), &[], &mut buf).unwrap();
-        // Splice a bogus message in: rewrite count to 1 and append a tag.
-        let mut corrupt = buf.clone();
-        corrupt[4 + 8..4 + 12].copy_from_slice(&1u32.to_le_bytes());
-        corrupt.push(200);
-        let body_len = (corrupt.len() - 4) as u32;
-        corrupt[0..4].copy_from_slice(&body_len.to_le_bytes());
-        assert_eq!(decode_frame(&corrupt), Err(WireError::UnknownTag(200)));
+        // A frame whose single message has an unknown tag: the retired tag 2
+        // or one past the last variant.
+        for tag in [2, 200] {
+            // Splice a bogus message in: rewrite count to 1 and append a tag.
+            let mut corrupt = buf.clone();
+            corrupt[4 + 8..4 + 12].copy_from_slice(&1u32.to_le_bytes());
+            corrupt.push(tag);
+            let body_len = (corrupt.len() - 4) as u32;
+            corrupt[0..4].copy_from_slice(&body_len.to_le_bytes());
+            assert_eq!(decode_frame(&corrupt), Err(WireError::UnknownTag(tag)));
+            assert_eq!(
+                walk_frame(&corrupt, |_| {}).err(),
+                Some(WireError::UnknownTag(tag))
+            );
+        }
 
         // A frame with trailing garbage inside the body.
         let mut padded = buf.clone();

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use dataflasks_core::wire::{decode_frame, encode_frame, walk_frame, MAX_FRAME_BYTES};
 use dataflasks_core::{DisseminationPhase, GetRequest, Message, PutRequest, WireError};
-use dataflasks_membership::{NewscastExchange, NodeDescriptor, ShuffleRequest, ShuffleResponse};
+use dataflasks_membership::{NodeDescriptor, ShuffleRequest, ShuffleResponse};
 use dataflasks_slicing::{AttributeSample, SliceExchange};
 use dataflasks_store::StoreDigest;
 use dataflasks_types::{
@@ -24,7 +24,7 @@ type Genome = ((u8, u64), (u64, u8), Vec<u8>);
 fn arb_genome() -> impl proptest::Strategy<Value = Genome> {
     use proptest::prelude::*;
     (
-        (0u8..10, any::<u64>()),
+        (0u8..9, any::<u64>()),
         (any::<u64>(), any::<u8>()),
         proptest::collection::vec(any::<u8>(), 0..48),
     )
@@ -78,10 +78,9 @@ fn decode_genome(genome: &Genome) -> Message {
     match selector {
         0 => Message::Shuffle(ShuffleRequest { descriptors }),
         1 => Message::ShuffleReply(ShuffleResponse { descriptors }),
-        2 => Message::Newscast(NewscastExchange { descriptors }),
-        3 => Message::SliceGossip(SliceExchange { samples }),
-        4 => Message::SliceGossipReply(SliceExchange { samples }),
-        5 => Message::Put(Arc::new(PutRequest {
+        2 => Message::SliceGossip(SliceExchange { samples }),
+        3 => Message::SliceGossipReply(SliceExchange { samples }),
+        4 => Message::Put(Arc::new(PutRequest {
             id: RequestId::new(a, b),
             client: a ^ b,
             object: object(a, b % 9, payload),
@@ -92,7 +91,7 @@ fn decode_genome(genome: &Genome) -> Message {
             },
             ttl: small as u32,
         })),
-        6 => Message::Get(Arc::new(GetRequest {
+        5 => Message::Get(Arc::new(GetRequest {
             id: RequestId::new(a, b),
             client: a ^ b,
             key: Key::from_raw(a),
@@ -104,11 +103,11 @@ fn decode_genome(genome: &Genome) -> Message {
             },
             ttl: u32::from(small),
         })),
-        7 => Message::AntiEntropyDigest {
+        6 => Message::AntiEntropyDigest {
             digest: Arc::new(digest(a, b)),
             range: range(a, b),
         },
-        8 => Message::AntiEntropyReply {
+        7 => Message::AntiEntropyReply {
             objects: objects.into(),
             digest: Arc::new(digest(b, a)),
             range: range(a, b),

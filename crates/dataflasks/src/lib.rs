@@ -6,15 +6,14 @@
 //! | Module | Contents |
 //! |---|---|
 //! | [`types`] | Keys, versions, values, node ids, slices, time, configuration |
-//! | [`membership`] | Peer Sampling Service (Cyclon, Newscast), partial views |
-//! | [`slicing`] | Distributed slicing protocols (ordered rank estimation, hash baseline) |
+//! | [`membership`] | Peer Sampling Service (Cyclon), partial views |
+//! | [`slicing`] | Distributed slicing (ordered rank estimation) |
 //! | [`store`] | Data-store abstraction (in-memory, append-only log, digests) |
-//! | [`core`] | The DataFlasks node, client library, load balancer |
+//! | [`core`] | The DataFlasks node and client library |
 //! | [`sim`] | Deterministic discrete-event cluster simulation |
 //! | [`workload`] | YCSB-style workload generation |
 //! | [`nemesis`] | Seeded fault schedules and the cross-backend invariant checker |
 //! | [`baseline`] | Structured DHT baseline for comparison experiments |
-//! | [`runtime`] | Threaded in-process runtime (one thread per node) |
 //! | [`net_env`] | Worker-pool runtime (thousands of nodes on a few threads), over in-process mailboxes or real TCP/UDS sockets |
 //!
 //! The most commonly used items are additionally re-exported at the crate
@@ -50,7 +49,6 @@ pub use dataflasks_core as core;
 pub use dataflasks_membership as membership;
 pub use dataflasks_nemesis as nemesis;
 pub use dataflasks_net_env as net_env;
-pub use dataflasks_runtime as runtime;
 pub use dataflasks_sim as sim;
 pub use dataflasks_slicing as slicing;
 pub use dataflasks_store as store;
@@ -61,14 +59,12 @@ pub use dataflasks_workload as workload;
 /// the runtime-selection knob for harness code written against the
 /// [`Environment`](dataflasks_core::Environment) driver interface.
 ///
-/// All four backends materialise the same spec into byte-identical node
+/// All three backends materialise the same spec into byte-identical node
 /// state machines and are held to identical client-visible behaviour by the
 /// differential parity fuzzer; they differ in what they cost:
 ///
 /// * [`RuntimeKind::Sim`] — virtual time, perfectly deterministic, fastest
 ///   for experiments and figure reproduction,
-/// * [`RuntimeKind::Threaded`] — one OS thread per node; real concurrency
-///   for small clusters,
 /// * [`RuntimeKind::Async`] — the worker-pool runtime over its in-process
 ///   transport; thousands of nodes on a few threads, with every hop
 ///   travelling as an encoded wire frame through a mailbox,
@@ -80,8 +76,6 @@ pub use dataflasks_workload as workload;
 pub enum RuntimeKind {
     /// Deterministic discrete-event simulation (`dataflasks-sim`).
     Sim,
-    /// One OS thread per node (`dataflasks-runtime`).
-    Threaded,
     /// Worker-pool runtime, in-process transport
     /// ([`AsyncCluster`](dataflasks_net_env::AsyncCluster)).
     Async,
@@ -93,9 +87,8 @@ pub enum RuntimeKind {
 /// Backend-tuning knobs for [`RuntimeKind::spawn_with`]: the runtime-scaling
 /// surface of the worker-pool runtime, in one facade-level struct.
 ///
-/// The simulator and the threaded runtime have no worker pool, so only the
-/// async and socket backends consume every field; the others ignore what
-/// does not apply (documented per field).
+/// The simulator has no worker pool, so only the async and socket backends
+/// consume these fields; the simulator ignores them.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RuntimeOptions {
     /// Worker threads multiplexing the node hosts (async and socket
@@ -107,15 +100,14 @@ pub struct RuntimeOptions {
     /// [`AsyncClusterConfig::mailbox_capacity`](dataflasks_net_env::AsyncClusterConfig)),
     /// in the kernel socket buffer for the socket backend.
     pub mailbox_capacity: usize,
-    /// Shared scheduling knobs — the per-round run budget (honoured by the
-    /// threaded, async and socket backends) and the work-stealing policy
-    /// (async and socket backends).
+    /// Shared scheduling knobs of the async and socket backends — the
+    /// per-round run budget and the work-stealing policy.
     pub sched: dataflasks_core::SchedulerConfig,
-    /// Socket family of the socket backend (ignored by the others):
+    /// Socket family of the socket backend (ignored by the async backend):
     /// TCP on loopback (the portable default) or Unix-domain sockets.
     pub transport: dataflasks_net_env::SocketTransportKind,
     /// Reactor (readiness-loop) threads of the socket backend (ignored by
-    /// the others). `0` picks one; see
+    /// the async backend). `0` picks one; see
     /// [`SocketClusterConfig::io_threads`](dataflasks_net_env::SocketClusterConfig).
     pub io_threads: usize,
 }
@@ -127,7 +119,6 @@ impl RuntimeKind {
     /// The boxed environment supports the full driver surface (submit,
     /// timers, crash, restart, drain); keep a concrete
     /// [`Simulation`](dataflasks_sim::Simulation) /
-    /// [`ThreadedCluster`](dataflasks_runtime::ThreadedCluster) /
     /// [`Cluster`](dataflasks_net_env::Cluster) instead when you
     /// need backend-specific APIs (blocking clients, shutdown-for-state).
     #[must_use]
@@ -155,7 +146,6 @@ impl RuntimeKind {
                 sim.spawn_spec(spec);
                 Box::new(sim)
             }
-            Self::Threaded => Box::new(dataflasks_runtime::ThreadedCluster::start_spec(spec)),
             Self::Async => Box::new(dataflasks_net_env::AsyncCluster::start_spec_with(
                 spec,
                 dataflasks_net_env::AsyncClusterConfig {
@@ -184,13 +174,12 @@ pub mod prelude {
     pub use dataflasks_baseline::DhtCluster;
     pub use dataflasks_core::{
         ClientLibrary, ClientRequest, ClusterSpec, Completion, DataFlasksNode, DefaultStore,
-        EffectBuffer, Effects, Environment, LoadBalancer, LoadBalancerPolicy, MessageKind,
-        NodeHost, NodeStats, OperationOutcome, Output, PipelinedClient, Ticket, TicketKind,
-        TicketOutcome, TimerKind,
+        EffectBuffer, Effects, Environment, MessageKind, NodeHost, NodeStats, OperationOutcome,
+        Output, PipelinedClient, Ticket, TicketKind, TicketOutcome, TimerKind,
     };
     pub use dataflasks_core::{FaultPlan, InjectedCounters, LinkVerdict};
     pub use dataflasks_core::{SchedulerConfig, StealPolicy};
-    pub use dataflasks_membership::{CyclonProtocol, NodeDescriptor, PeerSampling};
+    pub use dataflasks_membership::{CyclonProtocol, NodeDescriptor};
     pub use dataflasks_nemesis::{
         InvariantChecker, InvariantViolation, LatencyShape, NemesisEvent, NemesisOp,
         NemesisSchedule, NemesisSpec,
@@ -199,9 +188,8 @@ pub mod prelude {
         AsyncCluster, AsyncClusterConfig, ReassemblyBuffer, SocketCluster, SocketClusterConfig,
         SocketTransportKind,
     };
-    pub use dataflasks_runtime::ThreadedCluster;
     pub use dataflasks_sim::{ClusterReport, NetworkConfig, SimConfig, Simulation};
-    pub use dataflasks_slicing::{HashSlicer, OrderedSlicer, Slicer};
+    pub use dataflasks_slicing::OrderedSlicer;
     pub use dataflasks_store::{DataStore, LogStore, MemoryStore, ShardedStore, StoreDigest};
     pub use dataflasks_types::{
         Duration, Key, KeyRange, NodeConfig, NodeId, NodeProfile, RequestId, SimTime, SliceId,

@@ -14,7 +14,6 @@ use dataflasks_types::{NodeId, NodeProfile, PssConfig, SliceId};
 
 use crate::descriptor::NodeDescriptor;
 use crate::view::PartialView;
-use crate::PeerSampling;
 
 /// A Cyclon shuffle request: the initiator's descriptor subset.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,12 +35,12 @@ pub struct ShuffleResponse {
 /// The protocol is sans-io: [`CyclonProtocol::initiate_shuffle`] returns the
 /// peer to contact and the request payload, [`CyclonProtocol::handle_request`]
 /// returns the response payload, and the caller is responsible for delivering
-/// them (the simulator and the threaded runtime each provide a transport).
+/// them (the simulator and the worker-pool runtime each provide a transport).
 ///
 /// # Example
 ///
 /// ```
-/// use dataflasks_membership::{CyclonProtocol, NodeDescriptor, PeerSampling};
+/// use dataflasks_membership::{CyclonProtocol, NodeDescriptor};
 /// use dataflasks_types::{NodeId, NodeProfile, PssConfig};
 /// use rand::SeedableRng;
 ///
@@ -93,6 +92,24 @@ impl CyclonProtocol {
         let mut p = Self::new(local_id, config);
         p.profile = profile;
         p
+    }
+
+    /// The node this protocol instance runs on.
+    #[must_use]
+    pub fn local_id(&self) -> NodeId {
+        self.local_id
+    }
+
+    /// Read access to the current partial view.
+    #[must_use]
+    pub fn view(&self) -> &PartialView {
+        &self.view
+    }
+
+    /// Write access to the current partial view (used for bootstrapping and
+    /// by the failure detector to purge descriptors of dead nodes).
+    pub fn view_mut(&mut self) -> &mut PartialView {
+        &mut self.view
     }
 
     /// Sets the profile advertised in the node's own descriptor.
@@ -215,20 +232,6 @@ impl CyclonProtocol {
             .into_iter()
             .filter(|d| d.id() != local)
             .collect()
-    }
-}
-
-impl PeerSampling for CyclonProtocol {
-    fn local_id(&self) -> NodeId {
-        self.local_id
-    }
-
-    fn view(&self) -> &PartialView {
-        &self.view
-    }
-
-    fn view_mut(&mut self) -> &mut PartialView {
-        &mut self.view
     }
 }
 

@@ -6,11 +6,9 @@
 //! membership substrate the paper builds on:
 //!
 //! * [`NodeDescriptor`] and [`PartialView`] — the bounded, age-tracked view
-//!   data structure shared by all gossip protocols,
+//!   data structure the gossip protocols share,
 //! * [`CyclonProtocol`] — the Cyclon shuffle protocol \[Voulgaris et al. 2005\],
 //!   the Peer Sampling Service used by DataFlasks,
-//! * [`NewscastProtocol`] — a Newscast-style alternative (freshness-based
-//!   merge of full views), provided for comparison experiments,
 //! * [`SliceView`] — the *intra-slice* view used once a request has reached
 //!   its target slice (dissemination then stays inside the slice),
 //! * [`analysis`] — graph statistics (in-degree distribution, reachability)
@@ -19,12 +17,12 @@
 //!
 //! All protocols are written sans-io: they consume decoded messages and
 //! return messages to send, so the same code runs in the discrete-event
-//! simulator and in the threaded runtime.
+//! simulator and in the worker-pool runtime.
 //!
 //! # Example
 //!
 //! ```
-//! use dataflasks_membership::{CyclonProtocol, NodeDescriptor, PeerSampling};
+//! use dataflasks_membership::{CyclonProtocol, NodeDescriptor};
 //! use dataflasks_types::{NodeId, NodeProfile, PssConfig};
 //! use rand::SeedableRng;
 //!
@@ -47,54 +45,10 @@
 pub mod analysis;
 pub mod cyclon;
 pub mod descriptor;
-pub mod newscast;
 pub mod slice_view;
 pub mod view;
 
 pub use cyclon::{CyclonProtocol, ShuffleRequest, ShuffleResponse};
 pub use descriptor::NodeDescriptor;
-pub use newscast::{NewscastExchange, NewscastProtocol};
 pub use slice_view::SliceView;
 pub use view::PartialView;
-
-/// Common behaviour of the peer-sampling protocols in this crate.
-///
-/// The DataFlasks node is generic over its Peer Sampling Service through
-/// this trait so that Cyclon (the default) and Newscast can be swapped in
-/// experiments without touching the node logic.
-pub trait PeerSampling {
-    /// The node this protocol instance runs on.
-    fn local_id(&self) -> dataflasks_types::NodeId;
-
-    /// Read access to the current partial view.
-    fn view(&self) -> &PartialView;
-
-    /// Write access to the current partial view (used for bootstrapping and
-    /// by the failure detector to purge descriptors of dead nodes).
-    fn view_mut(&mut self) -> &mut PartialView;
-
-    /// Selects up to `n` distinct random peers from the view.
-    fn random_peers<R: rand::Rng>(&self, n: usize, rng: &mut R) -> Vec<dataflasks_types::NodeId> {
-        self.view().sample_peers(n, rng)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dataflasks_types::{NodeId, NodeProfile, PssConfig};
-
-    #[test]
-    fn peer_sampling_trait_is_usable_with_both_protocols() {
-        fn view_len<P: PeerSampling>(p: &P) -> usize {
-            p.view().len()
-        }
-        let mut cyclon = CyclonProtocol::new(NodeId::new(0), PssConfig::default());
-        cyclon
-            .view_mut()
-            .insert(NodeDescriptor::new(NodeId::new(1), NodeProfile::default()));
-        let newscast = NewscastProtocol::new(NodeId::new(2), PssConfig::default());
-        assert_eq!(view_len(&cyclon), 1);
-        assert_eq!(view_len(&newscast), 0);
-    }
-}

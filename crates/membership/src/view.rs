@@ -1,6 +1,5 @@
 //! The bounded partial view data structure.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use rand::seq::SliceRandom;
@@ -231,28 +230,6 @@ impl PartialView {
         }
     }
 
-    /// Replaces all descriptors by the freshest `capacity` descriptors of the
-    /// union of the current view and `incoming` (Newscast-style merge).
-    pub fn merge_freshest(&mut self, incoming: &[NodeDescriptor]) {
-        let mut best: HashMap<NodeId, NodeDescriptor> = HashMap::new();
-        for d in self.entries.iter().copied().chain(incoming.iter().copied()) {
-            if d.id() == self.owner {
-                continue;
-            }
-            best.entry(d.id())
-                .and_modify(|existing| {
-                    if d.is_fresher_than(existing) {
-                        *existing = d;
-                    }
-                })
-                .or_insert(d);
-        }
-        let mut merged: Vec<NodeDescriptor> = best.into_values().collect();
-        merged.sort_by_key(|d| (d.age(), d.id()));
-        merged.truncate(self.capacity);
-        self.entries = merged;
-    }
-
     fn evict_oldest(&mut self) {
         if let Some(oldest) = self.oldest_peer() {
             self.remove(oldest);
@@ -390,29 +367,6 @@ mod tests {
         view.merge_shuffle(vec![descriptor(0), descriptor(3), descriptor(4)], &[]);
         assert!(!view.contains(NodeId::new(0)));
         assert_eq!(view.len(), 2);
-    }
-
-    #[test]
-    fn merge_freshest_keeps_youngest_entries() {
-        let mut view = PartialView::new(NodeId::new(0), 3);
-        view.insert(descriptor(1).with_age(8));
-        view.insert(descriptor(2).with_age(2));
-        let incoming = vec![
-            descriptor(1).with_age(1),
-            descriptor(3).with_age(0),
-            descriptor(4).with_age(9),
-            descriptor(0).with_age(0),
-        ];
-        view.merge_freshest(&incoming);
-        assert_eq!(view.len(), 3);
-        assert_eq!(view.get(NodeId::new(1)).unwrap().age(), 1);
-        assert!(view.contains(NodeId::new(3)));
-        assert!(view.contains(NodeId::new(2)));
-        assert!(!view.contains(NodeId::new(4)), "oldest entry must be cut");
-        assert!(
-            !view.contains(NodeId::new(0)),
-            "owner never enters the view"
-        );
     }
 
     #[test]

@@ -2,9 +2,7 @@
 
 use std::collections::HashSet;
 
-use dataflasks_membership::{
-    analysis, CyclonProtocol, NewscastProtocol, NodeDescriptor, PartialView, PeerSampling,
-};
+use dataflasks_membership::{analysis, CyclonProtocol, NodeDescriptor, PartialView};
 use dataflasks_types::{NodeId, NodeProfile, PssConfig, SliceId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -96,38 +94,6 @@ proptest! {
             prop_assert!(!view.is_empty());
         }
         prop_assert_eq!(analysis::reachable_from(&views, NodeId::new(0)), nodes as usize);
-    }
-
-    /// Newscast exchanges keep views bounded and owner-free as well.
-    #[test]
-    fn newscast_rounds_preserve_invariants(
-        nodes in 4u64..20,
-        rounds in 1usize..10,
-        seed in any::<u64>(),
-    ) {
-        let cfg = PssConfig { view_size: 5, ..PssConfig::default() };
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut protocols: Vec<NewscastProtocol> = (0..nodes)
-            .map(|i| {
-                let mut p = NewscastProtocol::new(NodeId::new(i), cfg);
-                p.bootstrap([descriptor((i + 1) % nodes, 0)]);
-                p
-            })
-            .collect();
-        for _ in 0..rounds {
-            for i in 0..protocols.len() {
-                if let Some((target, exchange)) = protocols[i].initiate_exchange(&mut rng) {
-                    let from = protocols[i].local_id();
-                    let reply =
-                        protocols[target.as_u64() as usize].handle_exchange(from, exchange);
-                    protocols[i].handle_reply(reply);
-                }
-            }
-        }
-        for (i, p) in protocols.iter().enumerate() {
-            prop_assert!(p.view().len() <= cfg.view_size);
-            prop_assert!(!p.view().contains(NodeId::new(i as u64)));
-        }
     }
 
     /// Advertised slices survive the shuffle path: a descriptor carrying a

@@ -13,7 +13,7 @@
 //! * [`NemesisOp::apply_to_plan`] — the backend-agnostic half of applying
 //!   an op: everything expressible as a
 //!   [`FaultPlan`](dataflasks_core::fault::FaultPlan) verdict replays
-//!   identically on the simulator and the threaded/async/socket runtimes.
+//!   identically on the simulator and the async/socket runtimes.
 //!   Reordering, latency swaps and churn storms are applied by each
 //!   backend's own driver (the simulator can replay all of them; real
 //!   runtimes replay the physically possible subset).

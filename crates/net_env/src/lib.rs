@@ -39,9 +39,9 @@
 //! Every path that discards a frame — a crash purge, a refused push, a
 //! decode reject, a removed connection's holdover — returns its buffer to
 //! the arena, so a warm cluster's frame path does not allocate. Both
-//! transports implement the same driver surface as the simulator and the
-//! threaded runtime, and the four-way differential parity suite holds them
-//! to identical client-visible behaviour, crash→restart included.
+//! transports implement the same driver surface as the simulator, and the
+//! three-way differential parity suite holds them to identical
+//! client-visible behaviour, crash→restart included.
 //!
 //! # Example
 //!
@@ -274,6 +274,73 @@ mod tests {
     #[test]
     fn restarted_node_rejoins_and_reestablishes_connections() {
         restarted_node_rejoins::<Socket>(Some(SocketCluster::dial_count));
+    }
+
+    /// Every contact the blocking API draws is live: repeated puts all
+    /// succeed instead of sporadically failing on the crashed node.
+    fn blocking_puts_avoid_a_failed_contact<T: Transport>() {
+        let spec = ClusterSpec::new(NodeConfig::for_system_size(3, 1), vec![300, 200, 100], 23);
+        let mut cluster = Cluster::<T>::start_spec(&spec);
+        cluster.fail_node(NodeId::new(2));
+        for i in 0..8u64 {
+            let key = Key::from_user_key(&format!("survivor-{i}"));
+            cluster
+                .put(
+                    key,
+                    Version::new(1),
+                    Value::from_bytes(b"ok"),
+                    Duration::from_secs(10),
+                )
+                .expect("live contacts must serve the put");
+        }
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn blocking_api_avoids_failed_contacts() {
+        blocking_puts_avoid_a_failed_contact::<InProcess>();
+        blocking_puts_avoid_a_failed_contact::<Socket>();
+    }
+
+    /// Writing an older version after a newer one must not shadow it: once
+    /// the epidemic settles, reads return the newest version.
+    fn overwrites_respect_versions<T: Transport>() {
+        let cluster = Cluster::<T>::start(4, fast_config(4, 1), 2);
+        std::thread::sleep(StdDuration::from_millis(300));
+        let key = Key::from_user_key("versioned");
+        let timeout = Duration::from_secs(10);
+        for (version, value) in [(1, b"old"), (2, b"new"), (1, b"bad")] {
+            cluster
+                .put(
+                    key,
+                    Version::new(version),
+                    Value::from_bytes(value),
+                    timeout,
+                )
+                .expect("put should be acknowledged");
+        }
+        // Replicas converge on version 2 within a few dissemination and
+        // anti-entropy rounds; retry the read until it shows.
+        let deadline = Instant::now() + StdDuration::from_secs(10);
+        let latest = loop {
+            let read = cluster
+                .get(key, None, timeout)
+                .unwrap()
+                .expect("object present");
+            if read.version == Version::new(2) || Instant::now() > deadline {
+                break read;
+            }
+            std::thread::sleep(StdDuration::from_millis(100));
+        };
+        assert_eq!(latest.version, Version::new(2));
+        assert_eq!(latest.value.as_slice(), b"new");
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn older_versions_never_shadow_newer_ones_on_either_transport() {
+        overwrites_respect_versions::<InProcess>();
+        overwrites_respect_versions::<Socket>();
     }
 
     /// Tiny mailboxes under a bursty fan-out on a multi-worker pool:

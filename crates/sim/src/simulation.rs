@@ -12,8 +12,7 @@ use dataflasks_core::wheel::{DueTimer, TimerWheel};
 use dataflasks_core::Message;
 use dataflasks_core::{
     ClientId, ClientLibrary, ClientReply, ClientRequest, ClusterSpec, CompletedOperation,
-    DataFlasksNode, DefaultStore, Environment, LoadBalancer, LoadBalancerPolicy, NodeHost,
-    NodeStats, Output, TimerKind,
+    DataFlasksNode, DefaultStore, Environment, NodeHost, NodeStats, Output, TimerKind,
 };
 use dataflasks_membership::NodeDescriptor;
 use dataflasks_nemesis::{LatencyShape, NemesisOp};
@@ -65,8 +64,8 @@ struct SimNode {
     alive: bool,
 }
 
-/// A client library plus the epoch of the alive set its load balancer last
-/// saw, so contacts are refreshed only when membership actually changed.
+/// A client library plus the epoch of the alive set its contacts last
+/// came from, so contacts are refreshed only when membership actually changed.
 struct SimClient {
     library: ClientLibrary,
     contacts_epoch: u64,
@@ -75,8 +74,8 @@ struct SimClient {
 /// The queue-side state needed to route one node effect: sends and replies
 /// travel through the simulated network, timer re-arms go to the timer
 /// wheel (superseding the pending deadline). This is the simulator half of
-/// the shared [`Environment`] pipeline — the threaded runtime routes the
-/// very same [`Output`] values over channels.
+/// the shared [`Environment`] pipeline — the worker-pool runtime routes the
+/// very same [`Output`] values as wire frames.
 struct Routing<'a> {
     queue: &'a mut EventQueue,
     rng: &'a mut StdRng,
@@ -169,8 +168,8 @@ impl Routing<'_> {
             }
             Output::Timer { kind, after } => {
                 // Arming supersedes the pending (node, kind) deadline:
-                // exactly one chain is live per pair, like the threaded
-                // runtime's single deadline-table entry.
+                // exactly one chain is live per pair, like the worker-pool
+                // runtime's generation-stamped wheel entry.
                 self.wheel
                     .arm(from.as_u64() as usize, kind, self.now + after);
             }
@@ -242,7 +241,7 @@ pub struct Simulation {
     reply_log: Vec<ClientReply>,
     /// Client ids injected through [`Environment::submit_client_request`]:
     /// their replies go to [`Self::reply_log`] even if a [`ClientLibrary`]
-    /// shares the id, mirroring the threaded runtime's split between
+    /// shares the id, mirroring the concurrent runtime's split between
     /// Environment traffic and its native client API.
     env_clients: std::collections::HashSet<ClientId>,
     messages_delivered: u64,
@@ -250,7 +249,6 @@ pub struct Simulation {
     events_dispatched: u64,
     timer_fires: u64,
     default_node_config: NodeConfig,
-    client_policy: LoadBalancerPolicy,
     /// The spec this simulation was materialised from (if any): the recipe
     /// [`Environment::restart_node`] rebuilds crashed nodes with.
     spec: Option<ClusterSpec>,
@@ -290,15 +288,9 @@ impl Simulation {
             events_dispatched: 0,
             timer_fires: 0,
             default_node_config: NodeConfig::default(),
-            client_policy: LoadBalancerPolicy::Random,
             spec: None,
             restart_rounds: None,
         }
-    }
-
-    /// Sets the contact-selection policy used by clients created afterwards.
-    pub fn set_client_policy(&mut self, policy: LoadBalancerPolicy) {
-        self.client_policy = policy;
     }
 
     /// The current virtual time.
@@ -457,8 +449,8 @@ impl Simulation {
         }
     }
 
-    /// Adds a client library whose load balancer knows every currently alive
-    /// node, returning the client identifier.
+    /// Adds a client library whose contacts are every currently alive node,
+    /// returning the client identifier.
     pub fn add_client(&mut self) -> ClientId {
         // Never mint an id already claimed by an Environment submission —
         // its replies are diverted to the Environment's reply log and the
@@ -468,13 +460,10 @@ impl Simulation {
         }
         let id = self.next_client_id;
         self.next_client_id += 1;
-        let partition =
-            dataflasks_types::SlicePartition::new(self.default_node_config.slicing.slice_count);
-        let lb = LoadBalancer::new(self.client_policy, self.alive.clone(), partition);
         self.clients.insert(
             id,
             SimClient {
-                library: ClientLibrary::new(id, lb),
+                library: ClientLibrary::new(id, self.alive.clone()),
                 contacts_epoch: self.alive_epoch,
             },
         );
@@ -896,10 +885,7 @@ impl Simulation {
         } = self;
         let entry = clients.get_mut(&client)?;
         if entry.contacts_epoch != *alive_epoch {
-            entry
-                .library
-                .load_balancer_mut()
-                .set_contacts(alive.clone());
+            entry.library.set_contacts(alive.clone());
             entry.contacts_epoch = *alive_epoch;
         }
         issue(&mut entry.library, *now, rng)
@@ -1171,7 +1157,7 @@ impl Environment for Simulation {
 
     fn fire_timer(&mut self, node: NodeId, kind: TimerKind) {
         // Superseding kills the pending wheel deadline, exactly like the
-        // threaded runtime overwriting its single deadline entry; the
+        // worker-pool runtime superseding its wheel entry; the
         // injected firing travels on the heap so it keeps FIFO order with
         // other injected inputs, carrying the fresh stamp as proof of
         // currency at dispatch time.
@@ -1195,7 +1181,7 @@ impl Environment for Simulation {
         self.env_clients.insert(client);
         // Queued (not handled inline) so injected inputs are processed in
         // submission order relative to injected messages and timer firings —
-        // the same FIFO semantics a node's inbox gives the threaded runtime.
+        // the same FIFO semantics a node's inbox gives the worker-pool runtime.
         self.queue.schedule(
             self.now,
             EventPayload::ClientSubmit {
@@ -1373,7 +1359,7 @@ mod tests {
         let node = *sim.alive_nodes().last().unwrap();
         let sent_before = sim.node(node).stats().sent(MessageKind::Membership);
         // Five injections arm five generations; only the newest chain is
-        // live, so the shuffle fires exactly once (the threaded runtime's
+        // live, so the shuffle fires exactly once (the worker-pool runtime's
         // single-deadline semantics).
         for _ in 0..5 {
             Environment::fire_timer(&mut sim, node, TimerKind::PssShuffle);

@@ -6,23 +6,19 @@
 //! that each node joins the slice matching its relative rank, and each slice
 //! is then responsible for one contiguous range of the key space.
 //!
-//! Two slicers are provided:
-//!
-//! * [`OrderedSlicer`] — the gossip-based, rank-estimation slicer used by
-//!   DataFlasks (our substitution for the DSlead/Slead protocol referenced by
-//!   the paper). Nodes exchange bounded buffers of `(node, attribute)`
-//!   samples, estimate their normalised rank among the live nodes and map the
-//!   rank to a slice. The estimate continuously adapts to churn and to
-//!   dynamic reconfiguration of the slice count.
-//! * [`HashSlicer`] — the "toss a coin" strawman discussed (and rejected) in
-//!   the paper: the slice is a hash of the node identity. It provides uniform
-//!   slices but cannot rebalance after correlated failures; it is kept as the
-//!   experimental baseline for the slicing-resilience experiment.
+//! [`OrderedSlicer`] is the gossip-based, rank-estimation slicer used by
+//! DataFlasks (our substitution for the DSlead/Slead protocol referenced by
+//! the paper). Nodes exchange bounded buffers of `(node, attribute)`
+//! samples, estimate their normalised rank among the live nodes and map the
+//! rank to a slice. The estimate continuously adapts to churn and to dynamic
+//! reconfiguration of the slice count — unlike the "toss a coin" hash
+//! assignment the paper rejects, which cannot rebalance after correlated
+//! failures.
 //!
 //! # Example
 //!
 //! ```
-//! use dataflasks_slicing::{OrderedSlicer, Slicer};
+//! use dataflasks_slicing::OrderedSlicer;
 //! use dataflasks_types::{NodeId, NodeProfile, SlicePartition, SlicingConfig};
 //!
 //! let cfg = SlicingConfig::default();
@@ -37,59 +33,10 @@
 
 pub mod controller;
 pub mod convergence;
-pub mod hash_slicer;
 pub mod ordered;
 pub mod sample;
 
 pub use controller::{ReplicationController, SystemSizeEstimator};
 pub use convergence::{expected_slice_assignment, slice_accuracy, slice_size_imbalance};
-pub use hash_slicer::HashSlicer;
 pub use ordered::{OrderedSlicer, SliceExchange};
 pub use sample::AttributeSample;
-
-use dataflasks_types::{SliceId, SlicePartition};
-
-/// Common interface of the slicing protocols.
-///
-/// The DataFlasks slice manager talks to its slicer exclusively through this
-/// trait so that the ordered slicer and the hash baseline can be swapped in
-/// experiments.
-pub trait Slicer {
-    /// The slice the local node currently believes it belongs to, or `None`
-    /// if the protocol has not produced an assignment yet.
-    fn current_slice(&self) -> Option<SliceId>;
-
-    /// The key-space partition the slicer is configured for.
-    fn partition(&self) -> SlicePartition;
-
-    /// Reconfigures the number of slices.
-    ///
-    /// Dynamic reconfiguration is the mechanism the paper proposes for
-    /// autonomous replication management: shrinking `k` raises the
-    /// replication factor, growing `k` raises the system capacity.
-    fn set_partition(&mut self, partition: SlicePartition);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dataflasks_types::{NodeId, NodeProfile, SlicingConfig};
-
-    #[test]
-    fn slicer_trait_objects_are_usable() {
-        let partition = SlicePartition::new(4);
-        let cfg = SlicingConfig::default();
-        let ordered = OrderedSlicer::new(
-            NodeId::new(1),
-            NodeProfile::with_capacity(10),
-            cfg,
-            partition,
-        );
-        let hash = HashSlicer::new(NodeId::new(1), partition);
-        let slicers: Vec<Box<dyn Slicer>> = vec![Box::new(ordered), Box::new(hash)];
-        for s in &slicers {
-            assert_eq!(s.partition().slice_count(), 4);
-            assert!(s.current_slice().is_some());
-        }
-    }
-}

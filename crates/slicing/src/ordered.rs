@@ -7,15 +7,14 @@
 //! maps the rank onto one of the `k` slices. Because samples are refreshed
 //! and expired continuously, the assignment adapts to churn, to capacity
 //! changes and to dynamic reconfiguration of `k`, which is the property the
-//! paper requires from its slicing substrate (and which the hash baseline
-//! lacks).
+//! paper requires from its slicing substrate (and which the "toss a coin"
+//! hash assignment the paper rejects lacks).
 
 use rand::Rng;
 
 use dataflasks_types::{FastHashMap, NodeId, NodeProfile, SliceId, SlicePartition, SlicingConfig};
 
 use crate::sample::AttributeSample;
-use crate::Slicer;
 
 /// A slicing gossip payload: a bounded selection of attribute samples.
 ///
@@ -33,7 +32,7 @@ pub struct SliceExchange {
 /// # Example
 ///
 /// ```
-/// use dataflasks_slicing::{OrderedSlicer, Slicer};
+/// use dataflasks_slicing::OrderedSlicer;
 /// use dataflasks_types::{NodeId, NodeProfile, SlicePartition, SlicingConfig};
 ///
 /// let cfg = SlicingConfig::default();
@@ -112,6 +111,29 @@ impl OrderedSlicer {
     #[must_use]
     pub fn node(&self) -> NodeId {
         self.node
+    }
+
+    /// The slice the local node currently believes it belongs to: its
+    /// estimated rank mapped onto the partition. Always `Some` — a node that
+    /// knows nobody else ranks itself first.
+    #[must_use]
+    pub fn current_slice(&self) -> Option<SliceId> {
+        Some(self.partition.slice_of_rank(self.estimated_rank()))
+    }
+
+    /// The key-space partition the slicer is configured for.
+    #[must_use]
+    pub fn partition(&self) -> SlicePartition {
+        self.partition
+    }
+
+    /// Reconfigures the number of slices.
+    ///
+    /// Dynamic reconfiguration is the mechanism the paper proposes for
+    /// autonomous replication management: shrinking `k` raises the
+    /// replication factor, growing `k` raises the system capacity.
+    pub fn set_partition(&mut self, partition: SlicePartition) {
+        self.partition = partition;
     }
 
     /// The local node's profile used as the slicing attribute.
@@ -321,20 +343,6 @@ impl OrderedSlicer {
     }
 }
 
-impl Slicer for OrderedSlicer {
-    fn current_slice(&self) -> Option<SliceId> {
-        Some(self.partition.slice_of_rank(self.estimated_rank()))
-    }
-
-    fn partition(&self) -> SlicePartition {
-        self.partition
-    }
-
-    fn set_partition(&mut self, partition: SlicePartition) {
-        self.partition = partition;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,8 +507,8 @@ mod tests {
         for i in 0..5u64 {
             s.purge(NodeId::new(i));
         }
-        // Alone again → bottom slice. This is the rebalancing behaviour the
-        // hash slicer cannot provide.
+        // Alone again → bottom slice. This is the rebalancing behaviour a
+        // hash-of-identity assignment cannot provide.
         assert_eq!(s.current_slice(), Some(SliceId::new(0)));
     }
 }

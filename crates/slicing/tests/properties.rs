@@ -3,8 +3,7 @@
 use std::collections::HashMap;
 
 use dataflasks_slicing::{
-    expected_slice_assignment, slice_accuracy, slice_size_imbalance, HashSlicer, OrderedSlicer,
-    Slicer,
+    expected_slice_assignment, slice_accuracy, slice_size_imbalance, OrderedSlicer,
 };
 use dataflasks_types::{NodeId, NodeProfile, SlicePartition, SlicingConfig};
 use proptest::prelude::*;
@@ -54,16 +53,6 @@ proptest! {
             slicer.observe(NodeId::new(node), NodeProfile::with_capacity(cap));
             prop_assert!(slicer.sample_count() <= buffer);
         }
-    }
-
-    /// The hash slicer is deterministic and valid for any node and k.
-    #[test]
-    fn hash_slicer_is_deterministic_and_valid(node in any::<u64>(), k in 1u32..256) {
-        let partition = SlicePartition::new(k);
-        let a = HashSlicer::new(NodeId::new(node), partition).current_slice().unwrap();
-        let b = HashSlicer::new(NodeId::new(node), partition).current_slice().unwrap();
-        prop_assert_eq!(a, b);
-        prop_assert!(a.index() < k);
     }
 
     /// The ideal assignment is monotone in the attribute: a node with a

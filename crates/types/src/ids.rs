@@ -5,8 +5,7 @@ use std::fmt;
 /// Identity of a DataFlasks node.
 ///
 /// Node identifiers are opaque 64-bit values. In the simulator they are dense
-/// indices (`0..n`), in the threaded runtime they are assigned by the
-/// deployment. Nothing in the protocols depends on identifiers being dense or
+/// indices (`0..n`), in a deployment they are assigned by the operator. Nothing in the protocols depends on identifiers being dense or
 /// contiguous — placement is governed by the slicing protocol, not by the
 /// identifier (this is exactly the difference with a DHT).
 ///

@@ -2,7 +2,7 @@
 //!
 //! DataFlasks protocols are driven by periodic timers (peer-sampling shuffle,
 //! slicing gossip, anti-entropy) and never read a wall clock directly: the
-//! environment — simulator or threaded runtime — passes the current time into
+//! environment — simulator or worker-pool runtime — passes the current time into
 //! every event handler. This keeps protocol code deterministic and makes the
 //! simulated experiments reproducible.
 

@@ -1,9 +1,8 @@
 //! Environment parity: the same seeded put/get/churn scenario driven through
-//! every [`Environment`] implementation — the discrete-event [`Simulation`],
-//! the one-thread-per-node [`ThreadedCluster`], the event-driven
-//! [`AsyncCluster`] and the socket-backed [`SocketCluster`] (every hop over
-//! real TCP/UDS connections) — produces identical client-visible outcomes
-//! and identical per-node [`NodeStats`].
+//! every [`Environment`] implementation — the discrete-event [`Simulation`]
+//! as the reference, the event-driven [`AsyncCluster`] and the socket-backed
+//! [`SocketCluster`] (every hop over real TCP/UDS connections) — produces
+//! identical client-visible outcomes and identical per-node [`NodeStats`].
 //!
 //! All environments materialise the same [`ClusterSpec`] (identical node
 //! seeds, capacities and warm full-mesh membership) and are driven through
@@ -27,7 +26,7 @@
 //! asymmetric blocked links — the subset of [`FaultPlan`] faults that is a
 //! pure function of `(from, to)` and therefore replayable on concurrent
 //! runtimes) — are driven through all
-//! four backends and must produce identical client-visible replies and
+//! three backends and must produce identical client-visible replies and
 //! identical per-node [`NodeStats`], including the injected-fault counters. For the socket backend a restart also
 //! closes and re-establishes the node's connections, so the fuzzer exercises
 //! the dial/re-dial path as a side effect. Restarts make the anti-entropy traffic
@@ -91,8 +90,8 @@ fn parity_spec() -> ClusterSpec {
     config.dissemination.intra_fanout = 16;
     config.dissemination.intra_ttl = 32;
     config.dissemination.global_ttl = 32;
-    // Periodic gossip is pushed far beyond the test horizon in both
-    // environments: only request traffic flows.
+    // Periodic gossip is pushed far beyond the test horizon in every
+    // environment: only request traffic flows.
     let far = Duration::from_secs(1 << 26);
     config.pss.shuffle_period = far;
     config.slicing.gossip_period = far;
@@ -302,7 +301,6 @@ macro_rules! pipelined_parity_via_tickets {
     };
 }
 
-pipelined_parity_via_tickets!(ThreadedCluster);
 pipelined_parity_via_tickets!(AsyncCluster);
 pipelined_parity_via_tickets!(SocketCluster);
 
@@ -328,7 +326,6 @@ macro_rules! fault_control_via_plan {
 }
 
 fault_control_via_plan!(Simulation);
-fault_control_via_plan!(ThreadedCluster);
 fault_control_via_plan!(AsyncCluster);
 fault_control_via_plan!(SocketCluster);
 
@@ -359,6 +356,8 @@ fn assert_backend_parity(
     }
 }
 
+/// The four environments: the simulator (the reference), the async runtime,
+/// and the socket runtime over TCP and over Unix-domain sockets.
 #[test]
 fn all_four_environments_produce_identical_outcomes_and_stats() {
     let spec = parity_spec();
@@ -376,20 +375,11 @@ fn all_four_environments_produce_identical_outcomes_and_stats() {
         .map(|id| (id, *sim.node(id).stats()))
         .collect();
 
-    // --- Threaded runtime -------------------------------------------------
-    let mut cluster = ThreadedCluster::start_spec(&spec);
-    // Wall-clock budget: in-process hops take microseconds; the drain exits
-    // on quiescence well before the cap.
-    let threaded_steps = run_scenario(&mut cluster, &spec, Duration::from_secs(10));
-    let threaded_stats: HashMap<NodeId, NodeStats> = cluster
-        .shutdown()
-        .into_iter()
-        .map(|n| (n.id(), *n.stats()))
-        .collect();
-
     // --- Event-driven runtime (framed transport, stealing, backpressure) ---
     let mut async_cluster = async_cluster_under_stress(&spec);
     assert_eq!(async_cluster.worker_count(), 4);
+    // Wall-clock budget: in-process hops take microseconds; the drain exits
+    // on quiescence well before the cap.
     let async_steps = run_scenario(&mut async_cluster, &spec, Duration::from_secs(10));
     let async_stats: HashMap<NodeId, NodeStats> = async_cluster
         .shutdown()
@@ -431,13 +421,6 @@ fn all_four_environments_produce_identical_outcomes_and_stats() {
         );
     }
     assert_backend_parity(
-        "threaded runtime",
-        &sim_steps,
-        &threaded_steps,
-        &sim_stats,
-        &threaded_stats,
-    );
-    assert_backend_parity(
         "async runtime",
         &sim_steps,
         &async_steps,
@@ -470,7 +453,7 @@ fn all_four_environments_produce_identical_outcomes_and_stats() {
 #[test]
 fn scenario_outcomes_are_reply_complete() {
     // The scenario's semantic expectations, checked on the simulator alone
-    // (the parity test above guarantees the threaded runtime matches).
+    // (the parity test above guarantees the concurrent backends match).
     let spec = parity_spec();
     let plan = spec.build_nodes();
     let key = Key::from_user_key("parity-object");
@@ -635,15 +618,6 @@ fn pipelined_tickets_agree_across_environments() {
         3
     );
 
-    let mut threaded = ThreadedCluster::start_spec(&spec);
-    threaded.set_drain_idle_grace(Duration::from_millis(300));
-    let threaded_steps = script(&mut threaded, &spec, Duration::from_secs(10));
-    let threaded_stats: HashMap<NodeId, NodeStats> = threaded
-        .shutdown()
-        .into_iter()
-        .map(|n| (n.id(), *n.stats()))
-        .collect();
-
     let mut async_cluster = async_cluster_under_stress(&spec);
     async_cluster.set_drain_idle_grace(Duration::from_millis(300));
     let async_steps = script(&mut async_cluster, &spec, Duration::from_secs(10));
@@ -662,13 +636,6 @@ fn pipelined_tickets_agree_across_environments() {
         .map(|n| (n.id(), *n.stats()))
         .collect();
 
-    assert_backend_parity(
-        "threaded runtime (pipelined)",
-        &sim_steps,
-        &threaded_steps,
-        &sim_stats,
-        &threaded_stats,
-    );
     assert_backend_parity(
         "async runtime (pipelined)",
         &sim_steps,
@@ -691,7 +658,7 @@ fn pipelined_tickets_agree_across_environments() {
 
 /// One randomly generated scenario step. Every step is order-independent
 /// under the full-coverage configuration of [`parity_spec`], so thread
-/// scheduling in the threaded runtime cannot change its outcome:
+/// scheduling in the concurrent runtime cannot change its outcome:
 ///
 /// * puts/gets flood the full view (fanout ≥ cluster size) with ample TTL,
 ///   so target selection never depends on how much randomness a node has
@@ -1043,8 +1010,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Differential fuzzing: identical replies and identical `NodeStats`
-    /// across both environments, for randomized seeded scenarios, with the
-    /// sharded store as the default store.
+    /// across all three environments, for randomized seeded scenarios, with
+    /// the sharded store as the default store.
     #[test]
     fn random_scenarios_agree_across_environments(
         capacities in proptest::collection::vec(50u64..10_000, 6..9),
@@ -1066,22 +1033,11 @@ proptest! {
             .map(|id| (id, *sim.node(id).stats()))
             .collect();
 
-        // --- Threaded runtime --------------------------------------------
-        let mut cluster = ThreadedCluster::start_spec(&spec);
-        // In-process hops take microseconds; a short idle grace keeps the
-        // many drains of a fuzzing run fast without losing replies.
-        cluster.set_drain_idle_grace(Duration::from_millis(300));
-        let threaded_outcomes =
-            run_random_scenario(&mut cluster, &spec, &steps, Duration::from_secs(10));
-        let threaded_stats: HashMap<NodeId, NodeStats> = cluster
-            .shutdown()
-            .into_iter()
-            .map(|node| (node.id(), *node.stats()))
-            .collect();
-
         // --- Event-driven runtime (framed transport, 4 workers, bounded
         // mailboxes: stealing and saturation must not break parity) --------
         let mut async_cluster = async_cluster_under_stress(&spec);
+        // In-process hops take microseconds; a short idle grace keeps the
+        // many drains of a fuzzing run fast without losing replies.
         async_cluster.set_drain_idle_grace(Duration::from_millis(300));
         let async_outcomes =
             run_random_scenario(&mut async_cluster, &spec, &steps, Duration::from_secs(10));
@@ -1105,17 +1061,9 @@ proptest! {
             .collect();
 
         // --- Identical client-visible outcomes ---------------------------
-        prop_assert_eq!(sim_outcomes.len(), threaded_outcomes.len());
         prop_assert_eq!(sim_outcomes.len(), async_outcomes.len());
         prop_assert_eq!(sim_outcomes.len(), socket_outcomes.len());
         for (step, sim_replies) in sim_outcomes.iter().enumerate() {
-            prop_assert_eq!(
-                sim_replies,
-                &threaded_outcomes[step],
-                "step {} ({:?}): threaded runtime disagrees on replies",
-                step,
-                steps[step]
-            );
             prop_assert_eq!(
                 sim_replies,
                 &async_outcomes[step],
@@ -1133,17 +1081,9 @@ proptest! {
         }
 
         // --- Identical per-node protocol accounting ----------------------
-        prop_assert_eq!(sim_stats.len(), threaded_stats.len());
         prop_assert_eq!(sim_stats.len(), async_stats.len());
         prop_assert_eq!(sim_stats.len(), socket_stats.len());
         for (id, sim_node_stats) in &sim_stats {
-            let threaded_node_stats = threaded_stats.get(id).expect("node survived shutdown");
-            prop_assert_eq!(
-                sim_node_stats,
-                threaded_node_stats,
-                "node {}: threaded runtime disagrees on NodeStats",
-                id
-            );
             let async_node_stats = async_stats.get(id).expect("node survived shutdown");
             prop_assert_eq!(
                 sim_node_stats,
@@ -1260,11 +1200,6 @@ fn restarted_replica_converges_via_incremental_anti_entropy() {
     }
 
     // --- Concurrent runtimes ----------------------------------------------
-    let mut threaded = ThreadedCluster::start_spec(&spec);
-    threaded.set_drain_idle_grace(Duration::from_millis(300));
-    let threaded_outcomes = run(&mut threaded, &spec, Duration::from_secs(10));
-    let (threaded_keys, threaded_stats) = final_state(threaded.shutdown());
-
     let mut async_cluster = async_cluster_under_stress(&spec);
     async_cluster.set_drain_idle_grace(Duration::from_millis(300));
     let async_outcomes = run(&mut async_cluster, &spec, Duration::from_secs(10));
@@ -1299,17 +1234,11 @@ fn restarted_replica_converges_via_incremental_anti_entropy() {
     );
 
     // --- And every backend agrees on everything ----------------------------
-    assert_eq!(sim_outcomes, threaded_outcomes, "threaded replies diverge");
     assert_eq!(sim_outcomes, async_outcomes, "async replies diverge");
     assert_eq!(sim_outcomes, socket_outcomes, "socket replies diverge");
-    assert_eq!(sim_keys, threaded_keys, "threaded stores diverge");
     assert_eq!(sim_keys, async_keys, "async stores diverge");
     assert_eq!(sim_keys, socket_keys, "socket stores diverge");
     for (id, stats) in &sim_stats {
-        assert_eq!(
-            stats, &threaded_stats[id],
-            "threaded stats diverge for {id}"
-        );
         assert_eq!(stats, &async_stats[id], "async stats diverge for {id}");
         assert_eq!(stats, &socket_stats[id], "socket stats diverge for {id}");
         if *id == victim {
