@@ -526,7 +526,7 @@ mod tests {
     }
 
     #[test]
-    fn contacts_are_drawn_at_random_and_can_be_replaced() {
+    fn contacts_are_drawn_at_random() {
         let mut c = client(10);
         let mut rng = StdRng::seed_from_u64(1);
         let mut seen = std::collections::HashSet::new();
@@ -537,11 +537,19 @@ mod tests {
             seen.insert(issued.contact);
         }
         assert!(seen.len() >= 8, "random picks should cover most contacts");
+    }
+
+    #[test]
+    fn set_contacts_replaces_the_contact_list() {
+        let mut c = client(2);
         c.set_contacts(vec![NodeId::new(9)]);
-        let issued = c
-            .get(Key::from_user_key("a"), None, SimTime::ZERO, &mut rng)
-            .unwrap();
-        assert_eq!(issued.contact, NodeId::new(9));
+        let mut rng = StdRng::seed_from_u64(6);
+        for _ in 0..20 {
+            let issued = c
+                .get(Key::from_user_key("a"), None, SimTime::ZERO, &mut rng)
+                .unwrap();
+            assert_eq!(issued.contact, NodeId::new(9));
+        }
     }
 
     #[test]

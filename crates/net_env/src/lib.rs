@@ -801,7 +801,8 @@ mod tests {
         // How many frames are in flight at once depends on thread timing;
         // stock the pool with headroom over the warm-up's peak so that only
         // buffers going missing can make the arena allocate again.
-        let headroom: Vec<Vec<u8>> = (0..64).map(|_| cluster.shared.arena.take()).collect();
+        let stock = cluster.arena_fresh_buffers() as usize + 64;
+        let headroom: Vec<Vec<u8>> = (0..stock).map(|_| cluster.shared.arena.take()).collect();
         for buffer in headroom {
             cluster.shared.arena.give(buffer);
         }
