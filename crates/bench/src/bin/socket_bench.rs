@@ -40,9 +40,11 @@ struct Args {
     gets: usize,
     latency_ops: usize,
     transport: SocketTransportKind,
-    /// Assert that the latency phase allocated zero fresh arena buffers:
-    /// the warmed cluster must run steady-state send/receive entirely on
-    /// recycled frame and reassembly buffers.
+    /// Assert that the latency phase allocated zero fresh arena buffers and
+    /// zero fresh batch vectors: the warmed cluster must run steady-state
+    /// send/receive entirely on recycled frame and reassembly buffers, and
+    /// every worker must batch from the vectors its earlier rounds handed
+    /// back to its dispatch scratch.
     assert_steady_alloc: bool,
 }
 
@@ -371,8 +373,10 @@ fn run_row(args: &Args, nodes: usize, workers: usize) -> SweepRow {
     let min_warm = std::time::Duration::from_millis(4_600);
     let warm_deadline = warm_start + std::time::Duration::from_secs(30);
     let mut warm_pass = 0u64;
+    let fresh_allocations =
+        |cluster: &SocketCluster| cluster.arena_fresh_buffers() + cluster.batch_fresh_vectors();
     loop {
-        let fresh_at_pass_start = cluster.arena_fresh_buffers();
+        let fresh_at_pass_start = fresh_allocations(&cluster);
         for key in &warm_keys {
             let contact = contact_for(*key, &mut rng);
             let _ = cluster.put_via(
@@ -385,14 +389,15 @@ fn run_row(args: &Args, nodes: usize, workers: usize) -> SweepRow {
             let _ = cluster.get_via(contact, *key, None, Duration::from_secs(10));
         }
         warm_pass += 1;
-        let clean = cluster.arena_fresh_buffers() == fresh_at_pass_start;
+        let clean = fresh_allocations(&cluster) == fresh_at_pass_start;
         if std::env::var_os("SOCKET_BENCH_WARM_DEBUG").is_some() {
             eprintln!(
-                "WARM pass {warm_pass} t={:?} fresh {} (+{}) recycled {}",
+                "WARM pass {warm_pass} t={:?} fresh {} (+{}) recycled {} batch vectors {}",
                 warm_start.elapsed(),
                 cluster.arena_fresh_buffers(),
-                cluster.arena_fresh_buffers() - fresh_at_pass_start,
+                fresh_allocations(&cluster) - fresh_at_pass_start,
                 cluster.arena_recycled_buffers(),
+                cluster.batch_fresh_vectors(),
             );
         }
         let now = Instant::now();
@@ -401,6 +406,7 @@ fn run_row(args: &Args, nodes: usize, workers: usize) -> SweepRow {
         }
     }
     let fresh_before_latency = cluster.arena_fresh_buffers();
+    let batches_before_latency = cluster.batch_fresh_vectors();
     let mut put_lat_us = Vec::with_capacity(args.latency_ops);
     let mut get_lat_us = Vec::with_capacity(args.latency_ops);
     let with_retries = |mut op: Box<dyn FnMut() -> bool + '_>| -> f64 {
@@ -436,14 +442,21 @@ fn run_row(args: &Args, nodes: usize, workers: usize) -> SweepRow {
 
     // --- Transport sanity + teardown ---------------------------------------
     let arena_steady_fresh_delta = cluster.arena_fresh_buffers() - fresh_before_latency;
+    let batch_steady_fresh_delta = cluster.batch_fresh_vectors() - batches_before_latency;
     if args.assert_steady_alloc {
         assert_eq!(
             arena_steady_fresh_delta, 0,
             "steady state must allocate zero fresh arena buffers \
              ({arena_steady_fresh_delta} allocated during the latency phase)"
         );
+        assert_eq!(
+            batch_steady_fresh_delta, 0,
+            "steady state must allocate zero fresh batch vectors \
+             ({batch_steady_fresh_delta} allocated during the latency phase)"
+        );
     }
     let arena_fresh = cluster.arena_fresh_buffers();
+    let batch_fresh = cluster.batch_fresh_vectors();
     let arena_recycled = cluster.arena_recycled_buffers();
     let saturations = cluster.saturation_events();
     let dials = cluster.dial_count();
@@ -500,6 +513,7 @@ fn run_row(args: &Args, nodes: usize, workers: usize) -> SweepRow {
         ("arena_fresh_buffers", arena_fresh as f64),
         ("arena_recycled_buffers", arena_recycled as f64),
         ("arena_steady_fresh_delta", arena_steady_fresh_delta as f64),
+        ("batch_fresh_vectors", batch_fresh as f64),
         ("gossip_messages", gossip_messages as f64),
         ("replica_objects_total", stored_keys as f64),
     ];

@@ -86,6 +86,7 @@ const INTEGER_FIELDS: &[&str] = &[
     "arena_fresh_buffers",
     "arena_recycled_buffers",
     "arena_steady_fresh_delta",
+    "batch_fresh_vectors",
     "sim_seconds",
     "run_wall_ms",
     "events_dispatched",

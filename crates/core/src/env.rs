@@ -3,16 +3,20 @@
 //! Node handlers never perform IO and never allocate per-dispatch result
 //! vectors: they write the effects of handling one input — protocol sends,
 //! client replies, timer re-arms — into an [`Effects`] sink owned by the
-//! caller. The environment (the discrete-event simulator, the worker-pool
-//! runtime, or any future backend) owns a reusable [`EffectBuffer`] per node,
-//! so steady-state dispatch reuses one allocation for its whole lifetime.
+//! caller. Each thread that dispatches (the simulator's event loop, each
+//! worker of the worker-pool runtime) owns one reusable [`DispatchScratch`]
+//! — an [`EffectBuffer`] plus the frame walk's scratch — and lends it to
+//! whichever node it dispatches next, so steady-state dispatch reuses one
+//! allocation, warm in that thread's cache, for the thread's whole lifetime.
 //!
-//! Three pieces live here:
+//! The pieces that live here:
 //!
 //! * [`Effects`] / [`EffectBuffer`] — the sink node handlers write into,
-//! * [`NodeHost`] — a node bundled with its buffer plus the dispatch loop
-//!   every environment previously reimplemented (deliver a message, fire a
-//!   timer, submit a client request, hand each effect to a routing callback),
+//! * [`DispatchScratch`] — the memory of one dispatch round, owned by the
+//!   dispatching thread,
+//! * [`NodeHost`] — a node bundled with the dispatch loop every environment
+//!   previously reimplemented (deliver a message, fire a timer, submit a
+//!   client request, hand each effect to a routing callback),
 //! * [`Environment`] — the driver interface environments expose, so harness
 //!   code (experiments, parity tests, future schedulers) can drive a cluster
 //!   without knowing whether it is simulated or concurrent,
@@ -62,7 +66,9 @@ pub trait Effects {
 /// Draining the buffer keeps its allocation, and batch vectors come from a
 /// pool that [`Self::recycle_batch`] refills, so a long-lived buffer reaches
 /// a steady state where dispatching a message performs no allocation at all
-/// for the effect pipeline.
+/// for the effect pipeline. Environments keep one buffer per dispatching
+/// thread (inside its [`DispatchScratch`]), not one per node: every node
+/// that thread dispatches writes into the same warm memory.
 ///
 /// # Example
 ///
@@ -94,14 +100,18 @@ pub struct EffectBuffer {
     dest_slots: Vec<(NodeId, usize)>,
     /// Recycled batch vectors: delivered [`Output::SendBatch`] buffers come
     /// back through [`Self::recycle_batch`] and are reused by the next
-    /// upgrade to a batch, so a warmed node emits batches without
+    /// upgrade to a batch, so a warmed thread emits batches without
     /// allocating.
     batch_pool: Vec<Vec<Message>>,
+    /// Batch vectors allocated because the pool was empty.
+    fresh_batches: u64,
 }
 
-/// Upper bound on pooled batch vectors per buffer; beyond this, returned
-/// batches are dropped (a node rarely addresses more destinations per
-/// dispatch than its fanout).
+/// Upper bound on pooled batch vectors per buffer, that is per dispatching
+/// thread; beyond this, returned batches are dropped. A worker's round takes
+/// one vector per batched destination and gets it back after routing, and a
+/// node rarely addresses more destinations per round than its fanout; the
+/// simulator's vectors come back as their batches are delivered.
 const BATCH_POOL_LIMIT: usize = 32;
 
 impl EffectBuffer {
@@ -109,16 +119,6 @@ impl EffectBuffer {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a buffer with pre-reserved capacity.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            effects: Vec::with_capacity(capacity),
-            dest_slots: Vec::new(),
-            batch_pool: Vec::new(),
-        }
     }
 
     /// Returns a spent [`Output::SendBatch`] vector to this buffer's pool so
@@ -190,10 +190,10 @@ impl Effects for EffectBuffer {
             Output::SendBatch { messages, .. } => messages.push(message),
             slot => {
                 // The destination's second send: upgrade its unit in place.
-                let mut messages = self
-                    .batch_pool
-                    .pop()
-                    .unwrap_or_else(|| Vec::with_capacity(4));
+                let mut messages = self.batch_pool.pop().unwrap_or_else(|| {
+                    self.fresh_batches += 1;
+                    Vec::with_capacity(4)
+                });
                 let batch = Output::SendBatch {
                     to,
                     messages: Vec::new(),
@@ -217,29 +217,86 @@ impl Effects for EffectBuffer {
     }
 }
 
-/// A node bundled with its reusable effect buffer and the dispatch sequence
-/// every environment runs: feed one input to the node, then hand each
-/// resulting effect to a routing callback.
+/// The memory one dispatch round works in: the [`EffectBuffer`] the node's
+/// handlers write into and the walked entries of
+/// [`NodeHost::enqueue_frame`].
 ///
-/// Environments keep one `NodeHost` per node; the buffer's allocation is
-/// reused across every input the node ever handles.
-#[derive(Debug)]
-pub struct NodeHost<S> {
-    node: DataFlasksNode<S>,
+/// It belongs to the thread that dispatches, not to a node: an environment
+/// keeps one per dispatching thread and lends it to the host it dispatches
+/// next with [`NodeHost::swap_scratch`], taking it back after the flush. A
+/// round therefore starts on memory the thread's previous round left in
+/// cache, whichever node that was, and spent batch vectors go back into the
+/// thread's pool ([`Self::recycle_batch`]). Between rounds the scratch holds
+/// no effect ([`Self::is_empty`]).
+#[derive(Debug, Default)]
+pub struct DispatchScratch {
     effects: EffectBuffer,
-    /// Scratch for [`Self::enqueue_frame`]: the walked entries of one
-    /// frame, held until the whole frame has been checked.
     frame_entries: Vec<FrameEntry>,
 }
 
+impl DispatchScratch {
+    /// Creates an empty scratch; nothing is allocated until a round uses it.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Returns a spent batch vector to the scratch's pool (see
+    /// [`EffectBuffer::recycle_batch`]).
+    pub fn recycle_batch(&mut self, batch: Vec<Message>) {
+        self.effects.recycle_batch(batch);
+    }
+
+    /// Number of batch vectors the scratch allocated because its pool was
+    /// empty, over its whole lifetime. Flat once the scratch is warm.
+    #[must_use]
+    pub fn fresh_batches(&self) -> u64 {
+        self.effects.fresh_batches
+    }
+
+    /// Returns `true` if no round is in progress: no buffered effect, an
+    /// empty destination table and no walked frame entry.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.effects.is_empty()
+            && self.effects.dest_slots.is_empty()
+            && self.frame_entries.is_empty()
+    }
+
+    /// Returns `true` if the scratch holds any heap memory: buffered or
+    /// pooled capacity of any of its vectors.
+    #[must_use]
+    pub fn is_allocated(&self) -> bool {
+        let fx = &self.effects;
+        fx.effects.capacity() > 0
+            || fx.dest_slots.capacity() > 0
+            || fx.batch_pool.capacity() > 0
+            || self.frame_entries.capacity() > 0
+    }
+}
+
+/// A node bundled with the dispatch sequence every environment runs: feed
+/// inputs to the node, then hand each resulting effect to a routing
+/// callback.
+///
+/// Environments keep one `NodeHost` per node, but the memory a dispatch
+/// round uses belongs to the dispatching thread: the environment lends its
+/// [`DispatchScratch`] to the host for the round ([`Self::swap_scratch`]).
+/// A host starts with an empty, unallocated scratch of its own, which a
+/// standalone host (one driven without lending) grows on first use.
+#[derive(Debug)]
+pub struct NodeHost<S> {
+    node: DataFlasksNode<S>,
+    scratch: DispatchScratch,
+}
+
 impl<S: DataStore> NodeHost<S> {
-    /// Wraps a node with a fresh effect buffer.
+    /// Wraps a node; the host's own scratch allocates nothing up front.
     #[must_use]
     pub fn new(node: DataFlasksNode<S>) -> Self {
         Self {
             node,
-            effects: EffectBuffer::with_capacity(16),
-            frame_entries: Vec::new(),
+            scratch: DispatchScratch::new(),
         }
     }
 
@@ -260,16 +317,19 @@ impl<S: DataStore> NodeHost<S> {
         self.node
     }
 
-    /// Returns a spent batch vector to the host's effect buffer pool (see
-    /// [`EffectBuffer::recycle_batch`]).
-    pub fn recycle_batch(&mut self, batch: Vec<Message>) {
-        self.effects.recycle_batch(batch);
+    /// The scratch the host holds right now: its own between rounds, the
+    /// dispatching thread's while one is lent.
+    #[must_use]
+    pub fn scratch(&self) -> &DispatchScratch {
+        &self.scratch
     }
 
-    /// Number of batch vectors waiting in the host's effect buffer pool.
-    #[must_use]
-    pub fn pooled_batches(&self) -> usize {
-        self.effects.pooled_batches()
+    /// Swaps the host's scratch with `scratch`. An environment calls it once
+    /// to lend its thread's scratch before a round's first input and once
+    /// after the round's flush to take it back, so the round runs on the
+    /// thread's warm memory and the host's own scratch stays untouched.
+    pub fn swap_scratch(&mut self, scratch: &mut DispatchScratch) {
+        mem::swap(&mut self.scratch, scratch);
     }
 
     /// Delivers a protocol message and routes the resulting effects.
@@ -328,7 +388,7 @@ impl<S: DataStore> NodeHost<S> {
     /// the buffer groups same-destination sends across all of them.
     pub fn enqueue_message(&mut self, from: NodeId, message: Message, now: SimTime) {
         self.node
-            .handle_message(from, message, now, &mut self.effects);
+            .handle_message(from, message, now, &mut self.scratch.effects);
     }
 
     /// Handles the messages of one wire frame in emission order, buffering
@@ -350,7 +410,7 @@ impl<S: DataStore> NodeHost<S> {
     /// ([`NodeStats::wire_rejects`](crate::NodeStats)) and the error is
     /// returned for the transport to act on (a socket closes the connection).
     pub fn enqueue_frame(&mut self, bytes: &[u8], now: SimTime) -> Result<(), WireError> {
-        let mut entries = mem::take(&mut self.frame_entries);
+        let mut entries = mem::take(&mut self.scratch.frame_entries);
         let result = match walk_frame(bytes, |entry| entries.push(entry)) {
             Ok(frame) => {
                 for entry in entries.drain(..) {
@@ -364,12 +424,12 @@ impl<S: DataStore> NodeHost<S> {
                 Err(error)
             }
         };
-        self.frame_entries = entries;
+        self.scratch.frame_entries = entries;
         result
     }
 
     fn enqueue_frame_entry(&mut self, from: NodeId, entry: FrameEntry, frame: &[u8], now: SimTime) {
-        let fx = &mut self.effects;
+        let fx = &mut self.scratch.effects;
         match entry {
             FrameEntry::Put(header) => {
                 if self.node.admit_request(header.id) {
@@ -393,18 +453,18 @@ impl<S: DataStore> NodeHost<S> {
         now: SimTime,
     ) {
         self.node
-            .handle_client_request(client, request, now, &mut self.effects);
+            .handle_client_request(client, request, now, &mut self.scratch.effects);
     }
 
     /// Fires a timer, buffering its effects without flushing.
     pub fn enqueue_timer(&mut self, kind: TimerKind, now: SimTime) {
-        self.node.on_timer(kind, now, &mut self.effects);
+        self.node.on_timer(kind, now, &mut self.scratch.effects);
     }
 
     /// Hands every buffered effect to `route` — one transport unit per
     /// destination, as the buffer grouped them — emptying the buffer.
     pub fn flush_effects<F: FnMut(Output)>(&mut self, mut route: F) {
-        for effect in self.effects.drain() {
+        for effect in self.scratch.effects.drain() {
             route(effect);
         }
     }
@@ -738,7 +798,7 @@ mod tests {
 
     #[test]
     fn effect_buffer_reuses_its_allocation() {
-        let mut fx = EffectBuffer::with_capacity(4);
+        let mut fx = EffectBuffer::new();
         for round in 0..10 {
             for i in 0..4u64 {
                 fx.emit_send(
@@ -969,7 +1029,7 @@ mod tests {
             2,
             "a rejected frame dispatches none of its messages"
         );
-        assert!(host.effects.is_empty(), "and buffers no effects");
+        assert!(host.scratch.is_empty(), "and buffers no effects");
     }
 
     fn put_message(sequence: u64, name: &str, phase: DisseminationPhase) -> Message {
@@ -1090,7 +1150,7 @@ mod tests {
         let error = WireError::Malformed("invalid dissemination phase");
         assert_eq!(crate::wire::decode_frame(&corrupt), Err(error));
         assert_eq!(framed.enqueue_frame(&corrupt, SimTime::ZERO), Err(error));
-        assert!(framed.effects.is_empty(), "nothing dispatched");
+        assert!(framed.scratch.is_empty(), "nothing dispatched");
         let mut expected = stats;
         expected.wire_rejects += 1;
         assert_eq!(*framed.node().stats(), expected, "exactly one wire reject");

@@ -11,11 +11,13 @@
 //! * [`ClientLibrary`] — the client-side component (paper §V): it picks a
 //!   random contact node per operation and absorbs the many replies an
 //!   epidemic produces,
-//! * [`Effects`], [`EffectBuffer`], [`NodeHost`], [`Environment`] — the
-//!   sans-io environment layer: node handlers write their effects into a
-//!   reusable sink, and every environment (the discrete-event simulator of
-//!   `dataflasks-sim` and the worker-pool runtime of `dataflasks-net-env`)
-//!   drives nodes through the same interface,
+//! * [`Effects`], [`EffectBuffer`], [`DispatchScratch`], [`NodeHost`],
+//!   [`Environment`] — the sans-io environment layer: node handlers write
+//!   their effects into a reusable sink that each dispatching thread owns
+//!   and lends to the node it dispatches, and every environment (the
+//!   discrete-event simulator of `dataflasks-sim` and the worker-pool
+//!   runtime of `dataflasks-net-env`) drives nodes through the same
+//!   interface,
 //! * [`Message`], [`Output`], [`TimerKind`] — the protocol surface those
 //!   environments route,
 //! * [`NodeStats`] — the per-node message accounting the paper's evaluation
@@ -76,7 +78,8 @@ pub mod wire;
 
 pub use client::{ClientLibrary, ClientStats, CompletedOperation, IssuedRequest, OperationOutcome};
 pub use env::{
-    BootstrapRounds, ClusterSpec, DefaultStore, EffectBuffer, Effects, Environment, NodeHost,
+    BootstrapRounds, ClusterSpec, DefaultStore, DispatchScratch, EffectBuffer, Effects,
+    Environment, NodeHost,
 };
 pub use fault::{FaultPlan, InjectedCounters, LinkVerdict};
 pub use gateway::{

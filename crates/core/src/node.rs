@@ -7,8 +7,10 @@
 //! periodic timer) is handled by a method that writes the resulting effects —
 //! sends, client replies, timer re-arms — into an [`Effects`] sink, and the
 //! environment — the discrete-event simulator or the worker-pool runtime — owns
-//! the transport and the clock. With a reusable
-//! [`EffectBuffer`](crate::EffectBuffer) and the node's internal scratch
+//! the transport and the clock. The effect sink is not the node's: each
+//! dispatching thread owns one reusable [`EffectBuffer`](crate::EffectBuffer)
+//! (inside its [`DispatchScratch`](crate::DispatchScratch)) and lends it to
+//! the node it dispatches. With that buffer and the node's internal scratch
 //! buffers, steady-state dispatch performs no per-message allocation for the
 //! effect pipeline, and epidemic fan-out shares one reference-counted request
 //! across all peers instead of deep-copying it.

@@ -9,13 +9,15 @@
 use std::sync::Arc;
 
 use dataflasks_core::{
-    ClientReply, ClientRequest, DataFlasksNode, DisseminationPhase, EffectBuffer, Effects,
-    GetRequest, Message, MessageKind, Output, ReplyBody, TimerKind,
+    encode_frame, ClientReply, ClientRequest, DataFlasksNode, DispatchScratch, DisseminationPhase,
+    EffectBuffer, Effects, GetRequest, Message, MessageKind, NodeHost, Output, PutRequest,
+    ReplyBody, TimerKind,
 };
 use dataflasks_membership::NodeDescriptor;
-use dataflasks_store::{DataStore, MemoryStore};
+use dataflasks_store::{DataStore, MemoryStore, StoreDigest};
 use dataflasks_types::{
-    Duration, Key, NodeConfig, NodeId, NodeProfile, RequestId, SimTime, Value, Version,
+    Duration, Key, KeyRange, NodeConfig, NodeId, NodeProfile, RequestId, SimTime, StoredObject,
+    Value, Version,
 };
 use proptest::prelude::*;
 
@@ -456,4 +458,132 @@ fn a_batch_reuses_a_recycled_vector() {
         "the pooled allocation itself"
     );
     assert_eq!(messages, vec![tagged_message(0), tagged_message(1)]);
+}
+
+/// One input of a dispatch round, generated from `(kind, a, b)`: a timer, a
+/// client put or get, or a wire frame of puts, gets and a digest whose
+/// request ids repeat often enough to exercise admission.
+fn round_input(
+    host: &mut NodeHost<MemoryStore>,
+    (kind, a, b): (u8, u64, u64),
+    hosts: usize,
+    now: SimTime,
+) {
+    let key = Key::from_user_key(&format!("lent-{b}"));
+    match kind {
+        0 => host.enqueue_timer(TimerKind::ALL[a as usize % TimerKind::ALL.len()], now),
+        1 => host.enqueue_client_request(
+            7,
+            ClientRequest::Put {
+                id: RequestId::new(7, a),
+                key,
+                version: Version::new(a + 1),
+                value: Value::from_bytes(format!("v{a}").as_bytes()),
+            },
+            now,
+        ),
+        2 => host.enqueue_client_request(
+            7,
+            ClientRequest::Get {
+                id: RequestId::new(7, a),
+                key,
+                version: None,
+            },
+            now,
+        ),
+        _ => {
+            let phase = if a % 2 == 0 {
+                DisseminationPhase::Global
+            } else {
+                DisseminationPhase::IntraSlice
+            };
+            let put = Message::Put(Arc::new(PutRequest {
+                id: RequestId::new(8, a),
+                client: 8,
+                object: StoredObject::new(key, Version::new(a + 1), Value::from_bytes(b"framed")),
+                phase,
+                ttl: 2,
+            }));
+            let get = Message::Get(Arc::new(GetRequest {
+                id: RequestId::new(8, a / 2),
+                client: 8,
+                key,
+                version: None,
+                phase,
+                ttl: 2,
+            }));
+            let digest = Message::AntiEntropyDigest {
+                digest: Arc::new(StoreDigest::new()),
+                range: KeyRange::FULL,
+            };
+            let messages = match kind {
+                3 => vec![put],
+                4 => vec![get, put],
+                _ => vec![put.clone(), digest, get, put],
+            };
+            let mut bytes = Vec::new();
+            encode_frame(NodeId::new(b % hosts as u64), &messages, &mut bytes)
+                .expect("a small frame encodes");
+            host.enqueue_frame(&bytes, now)
+                .expect("an encoded frame walks");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A scratch lent from host to host changes nothing a host flushes:
+    /// rounds of timer, client and frame inputs interleaved across hosts
+    /// that all borrow one shared scratch produce exactly the outputs —
+    /// units, order, messages — of twin hosts each dispatching on its own
+    /// buffer. Every hand-back leaves the scratch with no buffered effect
+    /// and a cleared destination table, so no effect of one host's round
+    /// leaks into the next, and the borrowing hosts never allocate a
+    /// scratch of their own.
+    #[test]
+    fn a_lent_scratch_flushes_what_a_host_owned_buffer_flushes(
+        capacities in proptest::collection::vec(1u64..10_000, 3..6),
+        rounds in proptest::collection::vec(
+            (0usize..6, proptest::collection::vec((0u8..6, 0u64..24, 0u64..6), 1..5)),
+            1..40,
+        ),
+    ) {
+        let hosts = capacities.len();
+        let mut owning: Vec<NodeHost<MemoryStore>> =
+            warm_cluster(&capacities, 2).into_iter().map(NodeHost::new).collect();
+        let mut borrowing: Vec<NodeHost<MemoryStore>> =
+            warm_cluster(&capacities, 2).into_iter().map(NodeHost::new).collect();
+        let mut scratch = DispatchScratch::new();
+        for (step, (host, inputs)) in rounds.iter().enumerate() {
+            let host = host % hosts;
+            let now = SimTime::from_millis(step as u64 * 250);
+            let mut expected = Vec::new();
+            for &input in inputs {
+                round_input(&mut owning[host], input, hosts, now);
+            }
+            owning[host].flush_effects(|output| expected.push(output));
+
+            let mut lent = Vec::new();
+            let borrower = &mut borrowing[host];
+            borrower.swap_scratch(&mut scratch);
+            for &input in inputs {
+                round_input(borrower, input, hosts, now);
+            }
+            borrower.flush_effects(|output| lent.push(output));
+            borrower.swap_scratch(&mut scratch);
+
+            prop_assert!(scratch.is_empty(), "round {step} left state in the scratch");
+            prop_assert!(!borrower.scratch().is_allocated());
+            prop_assert_eq!(&lent, &expected);
+            for output in lent {
+                if let Output::SendBatch { messages, .. } = output {
+                    scratch.recycle_batch(messages);
+                }
+            }
+        }
+        for (owner, borrower) in owning.iter().zip(&borrowing) {
+            prop_assert_eq!(owner.node().stats(), borrower.node().stats());
+        }
+    }
 }

@@ -19,8 +19,8 @@ use dataflasks_core::wheel::{DueTimer, TimerWheel};
 use dataflasks_core::wire::encode_frame_into;
 use dataflasks_core::{
     BootstrapRounds, ClientGateway, ClientId, ClientPort, ClientReply, ClientRequest, ClusterSpec,
-    DataFlasksNode, DefaultStore, Environment, GatewayError, Inbox, Message, NodeHost, Output,
-    Poll, PushOutcome, Scheduler, SchedulerConfig, TimerKind,
+    DataFlasksNode, DefaultStore, DispatchScratch, Environment, GatewayError, Inbox, Message,
+    NodeHost, Output, Poll, PushOutcome, Scheduler, SchedulerConfig, TimerKind,
 };
 use dataflasks_types::{Duration, NodeConfig, NodeId, SimTime};
 
@@ -166,6 +166,9 @@ pub struct Shared<T> {
     /// Frames rejected as undecodable or oversized (also counted on the
     /// receiving node's `NodeStats::wire_rejects`).
     pub(crate) wire_rejects: AtomicU64,
+    /// Batch vectors the workers' dispatch scratches allocated because
+    /// their pools were empty, summed over the workers.
+    batch_fresh: AtomicU64,
     /// Consulted once per transport unit, before the transport sees it.
     /// Driver injections and client replies bypass it, as in every backend.
     faults: Arc<FaultPlan>,
@@ -184,7 +187,7 @@ impl<T: Transport> Shared<T> {
     /// Routes one effect of `from`'s dispatch round: timer re-arms to the
     /// emitting node's home wheel, replies to the client inbox, transport
     /// units to [`Self::send_unit`]. Returns a batch's spent vector, for the
-    /// worker to hand back to the emitting host's pool.
+    /// worker to hand back to its dispatch scratch's pool.
     fn route(
         &self,
         from: usize,
@@ -465,6 +468,7 @@ impl<T: Transport> Cluster<T> {
             arena: BufferArena::new(ARENA_IDLE_CAP),
             saturations: AtomicU64::new(0),
             wire_rejects: AtomicU64::new(0),
+            batch_fresh: AtomicU64::new(0),
             faults,
             transport,
         });
@@ -553,6 +557,15 @@ impl<T: Transport> Cluster<T> {
     #[must_use]
     pub fn arena_recycled_buffers(&self) -> u64 {
         self.shared.arena.recycled_buffers()
+    }
+
+    /// `SendBatch` vectors the workers had to allocate because their
+    /// dispatch scratch's pool was empty, summed over the workers. Once the
+    /// cluster is warm this stops moving — each worker batches from the
+    /// vectors its earlier rounds handed back.
+    #[must_use]
+    pub fn batch_fresh_vectors(&self) -> u64 {
+        self.shared.batch_fresh.load(Ordering::Relaxed)
     }
 
     /// The shared fault-injection plan. Faults staged on it take effect on
@@ -709,14 +722,19 @@ impl<T: Transport> Environment for Cluster<T> {
 }
 
 /// The worker loop: retry held frames, pop a ready host (own shard first,
-/// stealing from the busiest foreign shard when idle), absorb up to the run
-/// budget from its mailbox, flush once (one frame per destination, as the
-/// host's buffer grouped the round's sends), hand the spent batch vectors
-/// back to the host, and re-queue the host if backlog remains.
+/// stealing from the busiest foreign shard when idle), lend it the worker's
+/// dispatch scratch, absorb up to the run budget from its mailbox, flush
+/// once (one frame per destination, as the scratch's buffer grouped the
+/// round's sends), take the scratch back with the spent batch vectors in
+/// its pool, and re-queue the host if backlog remains. The scratch is the
+/// worker's, not the node's: every round starts on memory the worker's
+/// previous round left in cache.
 fn worker_loop<T: Transport>(shared: &Shared<T>, worker: usize) {
     let run_budget = shared.scheduler.config().effective_run_budget();
     let mut round: Vec<Input> = Vec::with_capacity(run_budget);
     let mut spent: Vec<Vec<Message>> = Vec::new();
+    let mut scratch = DispatchScratch::new();
+    let mut published_fresh = 0;
     let mut outbox = T::Outbox::default();
     loop {
         let park = if T::retry(shared, &mut outbox) {
@@ -731,6 +749,7 @@ fn worker_loop<T: Transport>(shared: &Shared<T>, worker: usize) {
         };
         let slot = &shared.slots[slot_index];
         let mut host = slot.host.lock();
+        host.swap_scratch(&mut scratch);
         slot.inbox.drain_up_to(run_budget, &mut round);
         let now = shared.now();
         for input in round.drain(..) {
@@ -764,8 +783,16 @@ fn worker_loop<T: Transport>(shared: &Shared<T>, worker: usize) {
         host.flush_effects(|output| {
             spent.extend(shared.route(slot_index, output, &mut outbox, &mut injected));
         });
+        host.swap_scratch(&mut scratch);
         for batch in spent.drain(..) {
-            host.recycle_batch(batch);
+            scratch.recycle_batch(batch);
+        }
+        let fresh = scratch.fresh_batches();
+        if fresh != published_fresh {
+            shared
+                .batch_fresh
+                .fetch_add(fresh - published_fresh, Ordering::Relaxed);
+            published_fresh = fresh;
         }
         if !injected.is_empty() {
             host.node_mut().record_injected_faults(&injected);

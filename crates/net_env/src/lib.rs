@@ -11,7 +11,12 @@
 //! as far as the node admits (`NodeHost::enqueue_frame`: a duplicate request
 //! ends at the dedup probe without leaving the buffer) and hands back, so
 //! everything a message owns is allocated, used and freed on one thread.
-//! All of that, plus the fault
+//! The memory a dispatch round works in is the worker's, not the node's:
+//! each worker owns one `DispatchScratch` (effect buffer, frame-entry
+//! scratch, pool of spent `SendBatch` vectors) and lends it to the host it
+//! dispatches for the length of the round, so a round starts on memory the
+//! worker's previous round left in cache and a node that is not being
+//! dispatched carries no buffers. All of that, plus the fault
 //! seam, the client API and the [`Environment`](dataflasks_core::Environment)
 //! surface, is written once; the [`Transport`] decides only where an encoded
 //! frame goes:
@@ -823,14 +828,16 @@ mod tests {
         cluster.shutdown();
     }
 
-    /// The worker hands every spent `SendBatch` vector back to the host that
-    /// emitted it: a round sending two messages to one peer leaves the
-    /// host's pool stocked, and an identical round then batches from the
-    /// pool without allocating — the pool ends where it started.
-    fn spent_batches_return_to_the_pool<T: Transport>() {
+    /// A worker lends its own dispatch scratch to the host it dispatches and
+    /// keeps every spent `SendBatch` vector in that scratch's pool: the round
+    /// that first sends two messages to one peer takes a fresh vector from
+    /// the worker's scratch, an identical round then batches from the
+    /// stocked pool without allocating, and the dispatched host's own
+    /// scratch never allocates at all. One worker, so both rounds run on
+    /// the same scratch.
+    fn spent_batches_return_to_the_worker_pool<T: Transport>(config: T::Config) {
         let spec = ClusterSpec::new(quiet_config(2), vec![200, 100], 41);
-        let cluster = Cluster::<T>::start_spec(&spec);
-        let pooled = || cluster.shared.slots[0].host.lock().pooled_batches();
+        let cluster = Cluster::<T>::start_spec_with(&spec, config);
         let stored = || cluster.shared.slots[1].host.lock().node().store().len();
         // Two fresh puts in one frame: node 0 stores both and fans each out
         // to its only slice peer, node 1 — one batch of two.
@@ -858,24 +865,38 @@ mod tests {
             assert!(cluster.shared.mail(0, Input::Frame { bytes, conn: None }));
         };
         round(0);
-        // Node 1 stores once node 0 has flushed; node 0's worker recycles
-        // before it releases the host lock `pooled` takes.
+        // Node 1 stores once node 0's round is over; the worker recycles and
+        // publishes its count before it releases node 0's host.
         assert!(eventually(|| stored() == 2), "the batch never arrived");
-        let warm = pooled();
-        assert!(warm > 0, "the spent batch vector never came back");
+        assert!(
+            !cluster.shared.slots[0].host.lock().scratch().is_allocated(),
+            "the round must run on the worker's scratch, not the host's own"
+        );
+        let warm = cluster.batch_fresh_vectors();
+        assert!(warm > 0, "the worker's scratch never batched");
         round(2);
         assert!(
             eventually(|| stored() == 4),
             "the second batch never arrived"
         );
-        assert_eq!(pooled(), warm, "a warm host must batch from its pool");
+        assert_eq!(
+            cluster.batch_fresh_vectors(),
+            warm,
+            "a warm worker must batch from the vectors its pool got back"
+        );
         cluster.shutdown();
     }
 
     #[test]
-    fn the_worker_returns_spent_batch_vectors_to_the_host() {
-        spent_batches_return_to_the_pool::<InProcess>();
-        spent_batches_return_to_the_pool::<Socket>();
+    fn the_worker_lends_its_scratch_and_pools_spent_batch_vectors() {
+        spent_batches_return_to_the_worker_pool::<InProcess>(AsyncClusterConfig {
+            workers: 1,
+            ..AsyncClusterConfig::default()
+        });
+        spent_batches_return_to_the_worker_pool::<Socket>(SocketClusterConfig {
+            workers: 1,
+            ..SocketClusterConfig::default()
+        });
     }
 
     #[test]

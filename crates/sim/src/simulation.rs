@@ -12,7 +12,8 @@ use dataflasks_core::wheel::{DueTimer, TimerWheel};
 use dataflasks_core::Message;
 use dataflasks_core::{
     ClientId, ClientLibrary, ClientReply, ClientRequest, ClusterSpec, CompletedOperation,
-    DataFlasksNode, DefaultStore, Environment, NodeHost, NodeStats, Output, TimerKind,
+    DataFlasksNode, DefaultStore, DispatchScratch, Environment, NodeHost, NodeStats, Output,
+    TimerKind,
 };
 use dataflasks_membership::NodeDescriptor;
 use dataflasks_nemesis::{LatencyShape, NemesisOp};
@@ -231,6 +232,10 @@ pub struct Simulation {
     wheel: TimerWheel<SimTime>,
     /// Scratch for collecting due timers (reused across dispatches).
     timer_scratch: Vec<DueTimer<SimTime>>,
+    /// The memory of every dispatch round, lent to the node being
+    /// dispatched: one warm effect buffer and batch pool for the whole
+    /// event loop instead of one per node.
+    dispatch_scratch: DispatchScratch,
     /// Scratch for bootstrap contact sampling (reused across joins).
     contacts_scratch: Vec<NodeDescriptor>,
     clients: BTreeMap<ClientId, SimClient>,
@@ -277,6 +282,7 @@ impl Simulation {
             alive_epoch: 0,
             wheel: TimerWheel::new(WHEEL_SLOTS, Duration::from_millis(1), SimTime::ZERO),
             timer_scratch: Vec::new(),
+            dispatch_scratch: DispatchScratch::new(),
             contacts_scratch: Vec::new(),
             clients: BTreeMap::new(),
             next_client_id: 1,
@@ -705,6 +711,7 @@ impl Simulation {
                 timer_fires,
                 events_dispatched,
                 now,
+                dispatch_scratch,
                 ..
             } = self;
             for timer in &due {
@@ -732,9 +739,11 @@ impl Simulation {
                     now: *now,
                 };
                 let node = NodeId::new(timer.host as u64);
+                entry.host.swap_scratch(dispatch_scratch);
                 entry
                     .host
                     .fire_timer(timer.kind, *now, |output| routing.route(node, output));
+                entry.host.swap_scratch(dispatch_scratch);
                 if !injected.is_empty() {
                     entry.host.node_mut().record_injected_faults(&injected);
                 }
@@ -755,11 +764,10 @@ impl Simulation {
                 mut messages,
             } => {
                 self.deliver_to_node(from, to, messages.drain(..));
-                // The spent buffer goes back to the receiver's batch pool:
-                // a warmed event loop recycles rather than allocates.
-                if let Some(entry) = self.nodes.get_mut(to.as_u64() as usize) {
-                    entry.host.recycle_batch(messages);
-                }
+                // The spent buffer goes back to the event loop's batch pool,
+                // which every node's rounds draw from: a warmed event loop
+                // recycles rather than allocates.
+                self.dispatch_scratch.recycle_batch(messages);
             }
             EventPayload::Timer {
                 node,
@@ -784,6 +792,7 @@ impl Simulation {
                     messages_dropped,
                     wheel,
                     timer_fires,
+                    dispatch_scratch,
                     ..
                 } = self;
                 let Some(entry) = nodes.get_mut(index) else {
@@ -805,9 +814,11 @@ impl Simulation {
                         wheel,
                         now,
                     };
+                    entry.host.swap_scratch(dispatch_scratch);
                     entry
                         .host
                         .fire_timer(kind, now, |output| routing.route(node, output));
+                    entry.host.swap_scratch(dispatch_scratch);
                     if !injected.is_empty() {
                         entry.host.node_mut().record_injected_faults(&injected);
                     }
@@ -932,6 +943,7 @@ impl Simulation {
             messages_dropped,
             messages_delivered,
             wheel,
+            dispatch_scratch,
             ..
         } = self;
         let Some(entry) = nodes.get_mut(to.as_u64() as usize) else {
@@ -953,9 +965,11 @@ impl Simulation {
             wheel,
             now,
         };
+        entry.host.swap_scratch(dispatch_scratch);
         entry
             .host
             .deliver_batch(from, messages, now, |output| routing.route(to, output));
+        entry.host.swap_scratch(dispatch_scratch);
         if !injected.is_empty() {
             entry.host.node_mut().record_injected_faults(&injected);
         }
@@ -980,6 +994,7 @@ impl Simulation {
             faulty,
             messages_dropped,
             wheel,
+            dispatch_scratch,
             ..
         } = self;
         let Some(entry) = nodes.get_mut(contact.as_u64() as usize) else {
@@ -1000,11 +1015,13 @@ impl Simulation {
             wheel,
             now,
         };
+        entry.host.swap_scratch(dispatch_scratch);
         entry
             .host
             .submit_client_request(client, request, now, |output| {
                 routing.route(contact, output)
             });
+        entry.host.swap_scratch(dispatch_scratch);
         if !injected.is_empty() {
             entry.host.node_mut().record_injected_faults(&injected);
         }
@@ -1281,6 +1298,30 @@ mod tests {
             assert!(sim.node(id).view_len() > 0, "node {id} has an empty view");
         }
         assert!(sim.messages_delivered() > 0);
+    }
+
+    #[test]
+    fn every_dispatch_runs_on_the_event_loops_scratch() {
+        let mut sim = small_sim(24, 3);
+        sim.run_for(Duration::from_secs(40));
+        let client = sim.add_client();
+        let key = Key::from_user_key("lent-scratch");
+        sim.submit_put(client, key, Version::new(1), Value::from_bytes(b"payload"));
+        Environment::fire_timer(&mut sim, NodeId::new(3), TimerKind::AntiEntropy);
+        sim.run_for(Duration::from_secs(10));
+        sim.submit_get(client, key, None);
+        sim.run_for(Duration::from_secs(10));
+        // Timers, deliveries and client requests all dispatched on the one
+        // scratch, which holds nothing between events.
+        assert!(sim.dispatch_scratch.is_allocated());
+        assert!(sim.dispatch_scratch.is_empty());
+        for entry in &sim.nodes {
+            assert!(
+                !entry.host.scratch().is_allocated(),
+                "node {} grew a scratch of its own",
+                entry.host.node().id()
+            );
+        }
     }
 
     #[test]
