@@ -5,7 +5,8 @@
 //! through each `nodes:workers` row of a sweep, and writes throughput and
 //! latency percentiles (p50/p99/p99.9) to `BENCH_socket.json` (the same
 //! sweep schema as `BENCH_async.json`, plus the transport counters: dials,
-//! dial retries, wire rejects, frame-arena buffer counts).
+//! dial retries, wire rejects, frame-arena buffer counts, and the
+//! cluster-wide count of requests refused as stale by dedup).
 //!
 //! ```bash
 //! cargo run -p dataflasks-bench --release --bin socket_bench
@@ -467,6 +468,10 @@ fn run_row(args: &Args, nodes: usize, workers: usize) -> SweepRow {
         .iter()
         .map(|n| n.stats().sent(MessageKind::Membership) + n.stats().sent(MessageKind::Slicing))
         .sum();
+    // Requests refused as more than a dedup window behind their client's
+    // newest: recorded, not gated (a non-zero count names what a failed
+    // operation may have met).
+    let requests_stale: u64 = final_nodes.iter().map(|n| n.stats().requests_stale).sum();
     let stored_keys: usize = final_nodes
         .iter()
         .map(|n| dataflasks::store::DataStore::len(n.store()))
@@ -510,6 +515,7 @@ fn run_row(args: &Args, nodes: usize, workers: usize) -> SweepRow {
         ("dials", dials as f64),
         ("dial_retries", dial_retries as f64),
         ("wire_rejects", wire_rejects as f64),
+        ("requests_stale", requests_stale as f64),
         ("arena_fresh_buffers", arena_fresh as f64),
         ("arena_recycled_buffers", arena_recycled as f64),
         ("arena_steady_fresh_delta", arena_steady_fresh_delta as f64),

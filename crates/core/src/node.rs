@@ -29,7 +29,7 @@ use dataflasks_types::{
     StoredObject,
 };
 
-use crate::dedup::DedupCache;
+use crate::dedup::{DedupCache, Sighting};
 use crate::env::Effects;
 use crate::message::{
     ClientId, ClientReply, ClientRequest, DisseminationPhase, GetRequest, Message, PutRequest,
@@ -452,16 +452,18 @@ impl<S: DataStore> DataFlasksNode<S> {
 
     /// Admission of one inbound put or get, by its id: counts the received
     /// request message and returns `true` only on the request's first
-    /// sighting — a duplicate is counted and ends here. Both inbound paths,
-    /// [`Self::handle_message`] and the wire frame path
+    /// sighting — a duplicate, or a request too far behind its client's
+    /// newest to tell (stale, see [`DedupCache`]), is counted and ends here.
+    /// Both inbound paths, [`Self::handle_message`] and the wire frame path
     /// (`NodeHost::enqueue_frame`), admit through this, so a request changes
     /// the counters and the dedup state identically whichever way it came.
     pub(crate) fn admit_request(&mut self, id: RequestId) -> bool {
         self.stats.record_received(MessageKind::Request);
-        if self.dedup.first_sighting(id) {
-            return true;
+        match self.dedup.sight(id) {
+            Sighting::New => return true,
+            Sighting::Duplicate => self.stats.requests_duplicate += 1,
+            Sighting::Stale => self.stats.requests_stale += 1,
         }
-        self.stats.requests_duplicate += 1;
         false
     }
 

@@ -75,6 +75,10 @@ pub struct NodeStats {
     /// Requests ignored because they had already been seen (duplicate
     /// suppression).
     pub requests_duplicate: u64,
+    /// Requests refused unforwarded because their sequence number was more
+    /// than the dedup window behind the newest this node had seen from the
+    /// same client, so whether they were duplicates could not be told.
+    pub requests_stale: u64,
     /// Objects received through anti-entropy repair.
     pub objects_repaired: u64,
     /// Anti-entropy rounds skipped because the chunk's digest fingerprint
@@ -179,6 +183,7 @@ impl NodeStats {
         self.gets_missed += other.gets_missed;
         self.requests_expired += other.requests_expired;
         self.requests_duplicate += other.requests_duplicate;
+        self.requests_stale += other.requests_stale;
         self.objects_repaired += other.objects_repaired;
         self.ae_chunks_skipped += other.ae_chunks_skipped;
         self.wire_rejects += other.wire_rejects;
@@ -243,11 +248,15 @@ mod tests {
         b.record_received(MessageKind::Reply);
         b.puts_stored = 2;
         b.slice_changes = 1;
+        b.requests_duplicate = 4;
+        b.requests_stale = 2;
         a.merge(&b);
         assert_eq!(a.sent(MessageKind::Request), 2);
         assert_eq!(a.received(MessageKind::Reply), 1);
         assert_eq!(a.puts_stored, 5);
         assert_eq!(a.slice_changes, 1);
+        assert_eq!(a.requests_duplicate, 4);
+        assert_eq!(a.requests_stale, 2);
     }
 
     #[test]

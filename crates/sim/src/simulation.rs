@@ -1550,6 +1550,71 @@ mod tests {
     }
 
     #[test]
+    fn a_request_a_window_behind_its_clients_newest_is_refused_as_stale() {
+        use dataflasks_core::{DisseminationPhase, Message, MessageKind, PutRequest};
+        use dataflasks_types::{RequestId, StoredObject, Value, Version};
+        use std::sync::Arc;
+
+        let mut config = NodeConfig::for_system_size(4, 1);
+        let far = Duration::from_secs(1 << 26);
+        config.pss.shuffle_period = far;
+        config.slicing.gossip_period = far;
+        config.replication.anti_entropy_period = far;
+        let window = config.dissemination.dedup_cache_size as u64;
+        let spec = ClusterSpec::new(config, vec![400, 300, 200, 100], 35);
+        let mut sim = Simulation::new(SimConfig {
+            seed: spec.seed,
+            ..SimConfig::default()
+        });
+        sim.spawn_spec(&spec);
+        let target = NodeId::new(1);
+        let put = |sequence: u64, name: &str| {
+            Message::Put(Arc::new(PutRequest {
+                id: RequestId::new(9, sequence),
+                client: 9,
+                object: StoredObject::new(
+                    Key::from_user_key(name),
+                    Version::new(1),
+                    Value::from_bytes(b"v"),
+                ),
+                phase: DisseminationPhase::Global,
+                ttl: 4,
+            }))
+        };
+        Environment::deliver_message(&mut sim, NodeId::new(0), target, put(window + 1, "newest"));
+        sim.drain_effects(Duration::from_secs(10));
+        let before = *sim.node(target).stats();
+        assert!(
+            before.sent(MessageKind::Request) > 0,
+            "the newest is forwarded"
+        );
+        assert_eq!(before.requests_stale, 0);
+
+        // W + 1 sequences behind the client's newest at this node.
+        Environment::deliver_message(&mut sim, NodeId::new(0), target, put(0, "stale"));
+        sim.drain_effects(Duration::from_secs(10));
+        let after = *sim.node(target).stats();
+        assert_eq!(after.requests_stale, 1, "refused and counted as stale");
+        assert_eq!(after.requests_duplicate, before.requests_duplicate);
+        assert_eq!(
+            after.sent(MessageKind::Request),
+            before.sent(MessageKind::Request),
+            "a stale request is not forwarded"
+        );
+        assert_eq!(after.puts_stored, before.puts_stored, "nor applied");
+        assert!(sim
+            .node(target)
+            .store()
+            .get_latest(Key::from_user_key("stale"))
+            .is_none());
+        let mut total = NodeStats::new();
+        for stats in sim.node_stats() {
+            total.merge(&stats);
+        }
+        assert_eq!(total.requests_stale, 1, "no other node saw it");
+    }
+
+    #[test]
     fn client_timeouts_are_reported() {
         let mut sim = Simulation::new(SimConfig {
             client_timeout: Duration::from_secs(2),

@@ -88,7 +88,11 @@ pub struct DisseminationConfig {
     pub intra_fanout: usize,
     /// Maximum number of hops a request travels inside its target slice.
     pub intra_ttl: u32,
-    /// Capacity of the per-node duplicate-suppression cache (request ids).
+    /// Length `W` of each per-client duplicate-suppression window, in
+    /// request sequence numbers (rounded up to a multiple of 64): a node
+    /// remembers which of the `W` sequences below a client's newest it has
+    /// seen and refuses older ones as stale. Costs `W / 8` bytes per active
+    /// client per node, for at most 64 clients per node.
     pub dedup_cache_size: usize,
 }
 

@@ -94,9 +94,6 @@ pub type FastHashState = std::hash::BuildHasherDefault<FastHasher>;
 /// integer ids).
 pub type FastHashMap<K, V> = std::collections::HashMap<K, V, FastHashState>;
 
-/// A `HashSet` keyed through [`FastHasher`].
-pub type FastHashSet<K> = std::collections::HashSet<K, FastHashState>;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -46,7 +46,7 @@ pub use config::{
     DisseminationConfig, NodeConfig, PssConfig, ReplicationConfig, SlicingConfig,
     DEFAULT_STORE_SHARDS,
 };
-pub use hashing::{fnv1a_64, FastHashMap, FastHashSet, FastHashState, FastHasher};
+pub use hashing::{fnv1a_64, FastHashMap, FastHashState, FastHasher};
 pub use ids::{NodeId, RequestId};
 pub use object::{Key, StoredObject, Value, Version};
 pub use profile::NodeProfile;
