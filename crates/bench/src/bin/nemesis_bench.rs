@@ -21,9 +21,8 @@
 //!   must surface as exactly one `wire_rejects` each.
 //!
 //! Every row carries `invariant_violations`, which must be zero — the bin
-//! prints the checker report and exits nonzero otherwise, and
-//! `ci/check_bench.sh` independently rejects a nonzero value in the
-//! artifact.
+//! prints the checker report, still writes the artifact, and exits nonzero
+//! otherwise (as it does when a planned row is missing).
 //!
 //! ```bash
 //! cargo run -p dataflasks-bench --release --bin nemesis_bench
@@ -37,7 +36,7 @@ use std::time::Instant;
 use dataflasks::core::{ClientRequest, Environment, OperationOutcome, ReplyBody};
 use dataflasks::prelude::*;
 use dataflasks::store::DataStore;
-use dataflasks_bench::{await_completions, write_raw_sweep_json, RawSweepRow};
+use dataflasks_bench::{await_completions, publish, Row, NEMESIS_RULES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -65,43 +64,37 @@ struct RowMetrics {
     corrupt_injected: u64,
     wire_rejects: u64,
     replayed_identically: u64,
-    wall_ms: u128,
+    wall_ms: u64,
     report: String,
 }
 
 impl RowMetrics {
-    fn render(&self) -> RawSweepRow {
+    fn render(&self) -> Row {
         vec![
-            ("scenario", format!("\"{}\"", self.scenario)),
-            ("nodes", self.nodes.to_string()),
-            ("acked_puts", self.acked_puts.to_string()),
+            ("scenario", self.scenario.into()),
+            ("nodes", self.nodes.into()),
+            ("acked_puts", self.acked_puts.into()),
             (
                 "availability_under_fault",
-                format!("{:.2}", self.availability_under_fault),
+                self.availability_under_fault.into(),
             ),
-            ("convergence_rounds", self.convergence_rounds.to_string()),
-            ("rounds_budget", self.rounds_budget.to_string()),
-            ("invariant_checks", self.invariant_checks.to_string()),
-            (
-                "invariant_violations",
-                self.invariant_violations.to_string(),
-            ),
+            ("convergence_rounds", self.convergence_rounds.into()),
+            ("rounds_budget", self.rounds_budget.into()),
+            ("invariant_checks", self.invariant_checks.into()),
+            ("invariant_violations", self.invariant_violations.into()),
             (
                 "frames_dropped_injected",
-                self.frames_dropped_injected.to_string(),
+                self.frames_dropped_injected.into(),
             ),
             (
                 "frames_duplicated_injected",
-                self.frames_duplicated_injected.to_string(),
+                self.frames_duplicated_injected.into(),
             ),
-            ("partition_refusals", self.partition_refusals.to_string()),
-            ("corrupt_injected", self.corrupt_injected.to_string()),
-            ("wire_rejects", self.wire_rejects.to_string()),
-            (
-                "replayed_identically",
-                self.replayed_identically.to_string(),
-            ),
-            ("wall_ms", self.wall_ms.to_string()),
+            ("partition_refusals", self.partition_refusals.into()),
+            ("corrupt_injected", self.corrupt_injected.into()),
+            ("wire_rejects", self.wire_rejects.into()),
+            ("replayed_identically", self.replayed_identically.into()),
+            ("wall_ms", self.wall_ms.into()),
         ]
     }
 
@@ -130,24 +123,42 @@ fn main() {
         }
     }
     let start = Instant::now();
-    let mut rows: Vec<RowMetrics> = Vec::new();
+    // The planned rows, as `(scenario, nodes)`.
+    let mut plan: Vec<(&'static str, usize)> = Vec::new();
     if !smoke {
-        rows.push(run_sim_scenario("sim_replay", 1_000, SEED, true));
+        plan.push(("sim_replay", 1_000));
     }
-    rows.push(run_sim_scenario(
-        "sim_churn_partition",
-        sim_nodes,
-        SEED,
-        false,
-    ));
+    plan.push(("sim_churn_partition", sim_nodes));
     if !skip_socket {
-        rows.push(run_socket_scenario(if smoke { 60 } else { 220 }, SEED));
+        plan.push(("socket_faults", if smoke { 60 } else { 220 }));
     }
+    let rows: Vec<RowMetrics> = plan
+        .iter()
+        .map(|&(scenario, nodes)| match scenario {
+            "socket_faults" => run_socket_scenario(nodes, SEED),
+            _ => run_sim_scenario(scenario, nodes, SEED, scenario == "sim_replay"),
+        })
+        .collect();
 
     for row in &rows {
         row.print();
+        if row.invariant_violations > 0 {
+            eprintln!(
+                "--- {} ({} nodes) ---\n{}",
+                row.scenario, row.nodes, row.report
+            );
+        }
     }
-    write_raw_sweep_json(
+    println!(
+        "{} rows in {:.1}s",
+        rows.len(),
+        start.elapsed().as_secs_f64()
+    );
+    let requested: Vec<Row> = plan
+        .iter()
+        .map(|&(scenario, nodes)| vec![("scenario", scenario.into()), ("nodes", nodes.into())])
+        .collect();
+    publish(
         "BENCH_nemesis.json",
         &[
             ("seed", SEED.to_string()),
@@ -159,26 +170,9 @@ fn main() {
             ("smoke", smoke.to_string()),
         ],
         &rows.iter().map(RowMetrics::render).collect::<Vec<_>>(),
+        NEMESIS_RULES,
+        &requested,
     );
-    println!(
-        "wrote BENCH_nemesis.json ({} rows) in {:.1}s",
-        rows.len(),
-        start.elapsed().as_secs_f64()
-    );
-
-    let violations: usize = rows.iter().map(|r| r.invariant_violations).sum();
-    if violations > 0 {
-        for row in &rows {
-            if !row.report.is_empty() {
-                eprintln!(
-                    "--- {} ({} nodes) ---\n{}",
-                    row.scenario, row.nodes, row.report
-                );
-            }
-        }
-        eprintln!("{violations} invariant violations — the run FAILED");
-        std::process::exit(1);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -204,7 +198,7 @@ fn run_sim_scenario(scenario: &'static str, nodes: usize, seed: u64, replay: boo
         );
         metrics.replayed_identically = 1;
     }
-    metrics.wall_ms = start.elapsed().as_millis();
+    metrics.wall_ms = start.elapsed().as_millis() as u64;
     metrics
 }
 
@@ -618,7 +612,7 @@ fn run_socket_scenario(nodes: usize, seed: u64) -> RowMetrics {
         corrupt_injected: fault_plan.corrupted_frames(),
         wire_rejects: sum(|s| s.wire_rejects),
         replayed_identically: 0,
-        wall_ms: start.elapsed().as_millis(),
+        wall_ms: start.elapsed().as_millis() as u64,
         report: checker.report(),
     }
 }

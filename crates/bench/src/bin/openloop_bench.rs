@@ -1,7 +1,7 @@
 //! Open-loop capacity bench: offers load to the pipelined client path at a
 //! schedule of fixed arrival rates and finds the throughput knee.
 //!
-//! Where `socket_bench`/`async_bench` measure *latency-bound* closed-loop
+//! Where `cluster_bench` measures *latency-bound* closed-loop
 //! numbers (each blocking operation waits for the previous one, so a slow
 //! server slows the client and hides its own overload), this bench drives
 //! the pipelined `submit_put`/`submit_get` ticket API from a seeded Poisson
@@ -26,11 +26,12 @@
 use std::time::Instant;
 
 use dataflasks::core::PipelinedClient;
+use dataflasks::net_env::{Cluster, InProcess, Socket};
 use dataflasks::prelude::*;
 use dataflasks::workload::{OpenLoopSchedule, OpenLoopSpec};
 use dataflasks_bench::{
-    percentile, render_sweep_metric, run_open_loop, write_raw_sweep_json, OpenLoopOutcome,
-    RawSweepRow,
+    cell, percentile, publish, run_open_loop, BenchTransport, Cell, ContactPlan, OpenLoopOutcome,
+    Row, OPEN_LOOP_RULES,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -149,54 +150,17 @@ impl Args {
     }
 }
 
-/// The two backends the sweep covers.
-#[derive(Clone, Copy, PartialEq)]
-enum Backend {
-    Async,
-    Socket,
+/// A backend the sweep covers: a transport and its name in the artifact.
+trait Backend: BenchTransport {
+    const NAME: &'static str;
 }
 
-impl Backend {
-    fn name(self) -> &'static str {
-        match self {
-            Self::Async => "async",
-            Self::Socket => "socket",
-        }
-    }
+impl Backend for InProcess {
+    const NAME: &'static str = "async";
 }
 
-/// The slice-aware contact plan: a deterministic function of the spec.
-struct ContactPlan {
-    partition: SlicePartition,
-    members_by_slice: Vec<Vec<NodeId>>,
-}
-
-impl ContactPlan {
-    fn build(spec: &ClusterSpec, slices: u32) -> Self {
-        let plan = spec.build_nodes();
-        let partition = plan[0].partition();
-        let mut members_by_slice: Vec<Vec<NodeId>> = vec![Vec::new(); slices as usize];
-        for node in &plan {
-            if let Some(slice) = node.slice() {
-                members_by_slice[slice.index() as usize].push(node.id());
-            }
-        }
-        for (index, members) in members_by_slice.iter().enumerate() {
-            assert!(
-                !members.is_empty(),
-                "slice {index} has no members: use at least ~25 nodes per slice"
-            );
-        }
-        Self {
-            partition,
-            members_by_slice,
-        }
-    }
-
-    fn contact_for(&self, key: Key, rng: &mut StdRng) -> NodeId {
-        let members = &self.members_by_slice[self.partition.slice_of(key).index() as usize];
-        members[rng.gen_range(0..members.len())]
-    }
+impl Backend for Socket {
+    const NAME: &'static str = "socket";
 }
 
 fn main() {
@@ -210,30 +174,30 @@ fn main() {
         .map(|_| capacity_rng.gen_range(100..=10_000))
         .collect();
     let spec = ClusterSpec::new(config, capacities, SEED);
-    let plan = ContactPlan::build(&spec, args.slices);
+    let plan = ContactPlan::build(&spec);
 
-    let mut rows: Vec<RawSweepRow> = Vec::new();
-    let mut baselines: Vec<(Backend, f64)> = Vec::new();
-    for backend in [Backend::Async, Backend::Socket] {
-        let baseline = if args.baseline_ops > 0 {
-            let rate = run_blocking_baseline(&args, &spec, &plan, backend);
-            baselines.push((backend, rate));
-            rate
-        } else {
-            0.0
-        };
-        for &rate in &args.rates {
-            rows.push(run_row(&args, &spec, &plan, backend, rate));
-        }
-        report_knee(&rows, backend, baseline);
-    }
+    let mut rows: Vec<Row> = Vec::new();
+    let mut baselines: Vec<(&'static str, f64)> = Vec::new();
+    sweep::<InProcess>(&args, &spec, &plan, &mut rows, &mut baselines);
+    sweep::<Socket>(&args, &spec, &plan, &mut rows, &mut baselines);
 
     let transport_name = match args.transport {
         SocketTransportKind::Tcp => "tcp",
         SocketTransportKind::Unix => "unix",
     };
     let history = render_history(&baselines, &args);
-    write_raw_sweep_json(
+    let requested: Vec<Row> = [InProcess::NAME, Socket::NAME]
+        .iter()
+        .flat_map(|&backend| {
+            args.rates.iter().map(move |&rate| {
+                vec![
+                    ("backend", backend.into()),
+                    ("offered_ops_per_s", rate.into()),
+                ]
+            })
+        })
+        .collect();
+    publish(
         "BENCH_openloop.json",
         &[
             ("workload_mode", "\"open_loop\"".to_string()),
@@ -250,123 +214,37 @@ fn main() {
             ("history", history),
         ],
         &rows,
+        OPEN_LOOP_RULES,
+        &requested,
     );
 }
 
-/// A spawned backend: one enum so rows share the run path and still reach
-/// the backend's own teardown and counters.
-enum Cluster {
-    Async(AsyncCluster),
-    Socket(SocketCluster),
-}
-
-impl Cluster {
-    /// `(inflight_high_water, completions_routed, openloop_sheds)`.
-    fn counters(&self) -> (u64, u64, u64) {
-        match self {
-            Self::Async(c) => (
-                c.inflight_high_water(),
-                c.completions_routed(),
-                c.openloop_sheds(),
-            ),
-            Self::Socket(c) => (
-                c.inflight_high_water(),
-                c.completions_routed(),
-                c.openloop_sheds(),
-            ),
-        }
-    }
-
-    /// Stops the worker pool (and sockets) before the next row spawns.
-    fn shutdown(self) {
-        match self {
-            Self::Async(c) => drop(c.shutdown()),
-            Self::Socket(c) => drop(c.shutdown()),
-        }
-    }
-}
-
-impl PipelinedClient for Cluster {
-    fn submit_put(
-        &self,
-        contact: Option<NodeId>,
-        key: Key,
-        version: Version,
-        value: Value,
-        timeout: Duration,
-    ) -> Result<Ticket, dataflasks::core::GatewayError> {
-        match self {
-            Self::Async(c) => c.submit_put(contact, key, version, value, timeout),
-            Self::Socket(c) => c.submit_put(contact, key, version, value, timeout),
-        }
-    }
-
-    fn submit_get(
-        &self,
-        contact: Option<NodeId>,
-        key: Key,
-        version: Option<Version>,
-        timeout: Duration,
-    ) -> Result<Ticket, dataflasks::core::GatewayError> {
-        match self {
-            Self::Async(c) => c.submit_get(contact, key, version, timeout),
-            Self::Socket(c) => c.submit_get(contact, key, version, timeout),
-        }
-    }
-
-    fn await_ticket(
-        &self,
-        ticket: Ticket,
-        timeout: Duration,
-    ) -> Result<TicketOutcome, dataflasks::core::GatewayError> {
-        match self {
-            Self::Async(c) => c.await_ticket(ticket, timeout),
-            Self::Socket(c) => c.await_ticket(ticket, timeout),
-        }
-    }
-
-    fn poll_completions(&self, out: &mut Vec<Completion>) {
-        match self {
-            Self::Async(c) => c.poll_completions(out),
-            Self::Socket(c) => c.poll_completions(out),
-        }
-    }
-
-    fn inflight(&self) -> usize {
-        match self {
-            Self::Async(c) => c.inflight(),
-            Self::Socket(c) => c.inflight(),
-        }
-    }
-
-    fn note_shed(&self) {
-        match self {
-            Self::Async(c) => c.note_shed(),
-            Self::Socket(c) => c.note_shed(),
-        }
-    }
-}
-
-/// Spawns a fresh cluster of the configured shape on `backend`, lets the
-/// gossip substrate start flowing, and preloads the key space at version 1.
-fn spawn_loaded(args: &Args, spec: &ClusterSpec, plan: &ContactPlan, backend: Backend) -> Cluster {
-    let cluster = match backend {
-        Backend::Async => Cluster::Async(AsyncCluster::start_spec_with(
-            spec,
-            AsyncClusterConfig {
-                workers: args.workers,
-                ..AsyncClusterConfig::default()
-            },
-        )),
-        Backend::Socket => Cluster::Socket(SocketCluster::start_spec_with(
-            spec,
-            SocketClusterConfig {
-                workers: args.workers,
-                transport: args.transport,
-                ..SocketClusterConfig::default()
-            },
-        )),
+/// Measures `T`'s closed-loop baseline and its offered-load rows, then
+/// reports its knee.
+fn sweep<T: Backend>(
+    args: &Args,
+    spec: &ClusterSpec,
+    plan: &ContactPlan,
+    rows: &mut Vec<Row>,
+    baselines: &mut Vec<(&'static str, f64)>,
+) {
+    let baseline = if args.baseline_ops > 0 {
+        let rate = run_blocking_baseline::<T>(args, spec, plan);
+        baselines.push((T::NAME, rate));
+        rate
+    } else {
+        0.0
     };
+    for &rate in &args.rates {
+        rows.push(run_row::<T>(args, spec, plan, rate));
+    }
+    report_knee(rows, T::NAME, baseline);
+}
+
+/// Spawns a fresh cluster of the configured shape on `T`, lets the
+/// gossip substrate start flowing, and preloads the key space at version 1.
+fn spawn_loaded<T: Backend>(args: &Args, spec: &ClusterSpec, plan: &ContactPlan) -> Cluster<T> {
+    let cluster = Cluster::<T>::start_spec_with(spec, T::config(args.workers, 0, args.transport));
     // A bit over one shuffle period: rows measure with live gossip — and
     // the lazy dials it triggers — competing with requests.
     std::thread::sleep(std::time::Duration::from_millis(2_300));
@@ -420,13 +298,8 @@ fn spawn_loaded(args: &Args, spec: &ClusterSpec, plan: &ContactPlan, backend: Ba
 /// Measures the closed-loop blocking baseline: the identical operation
 /// sequence, one ticket at a time (submit, await, repeat) — the pattern the
 /// closed-loop latency benches use. Returns achieved ops/s.
-fn run_blocking_baseline(
-    args: &Args,
-    spec: &ClusterSpec,
-    plan: &ContactPlan,
-    backend: Backend,
-) -> f64 {
-    let cluster = spawn_loaded(args, spec, plan, backend);
+fn run_blocking_baseline<T: Backend>(args: &Args, spec: &ClusterSpec, plan: &ContactPlan) -> f64 {
+    let cluster = spawn_loaded::<T>(args, spec, plan);
     let schedule = OpenLoopSchedule::generate(
         &OpenLoopSpec {
             offered_ops_per_s: 1_000.0, // pacing is ignored by the baseline
@@ -461,21 +334,15 @@ fn run_blocking_baseline(
     let rate = completed as f64 / start.elapsed().as_secs_f64().max(1e-9);
     println!(
         "[{}] closed-loop blocking baseline: {completed}/{} ops, {rate:.0} ops/s",
-        backend.name(),
+        T::NAME,
         args.baseline_ops,
     );
-    cluster.shutdown();
+    drop(cluster.shutdown());
     rate
 }
 
 /// Runs one `(backend, offered rate)` row on a fresh cluster.
-fn run_row(
-    args: &Args,
-    spec: &ClusterSpec,
-    plan: &ContactPlan,
-    backend: Backend,
-    rate: f64,
-) -> RawSweepRow {
+fn run_row<T: Backend>(args: &Args, spec: &ClusterSpec, plan: &ContactPlan, rate: f64) -> Row {
     let operations = (rate * args.row_seconds).round() as usize;
     // One seed for every row: rows replay the identical key/kind sequence
     // and differ only in pacing.
@@ -490,11 +357,12 @@ fn run_row(
         },
         SEED,
     );
-    let cluster = spawn_loaded(args, spec, plan, backend);
+    let cluster = spawn_loaded::<T>(args, spec, plan);
     // Counters are cluster-lifetime; snapshot after the preload so the row
     // reports its own routed/shed deltas (the high-water mark stays a
     // lifetime max, but the preload pipelines only 16 deep).
-    let (_, routed_before, sheds_before) = cluster.counters();
+    let routed_before = cluster.completions_routed();
+    let sheds_before = cluster.openloop_sheds();
     let mut rng = StdRng::seed_from_u64(SEED ^ 0x09E4);
     let outcome = run_open_loop(
         &cluster,
@@ -503,78 +371,55 @@ fn run_row(
         args.op_timeout,
         |op| plan.contact_for(op.key, &mut rng),
     );
-    let (high_water, routed, sheds) = cluster.counters();
-    cluster.shutdown();
-    row_from_outcome(
-        backend,
-        rate,
-        args,
-        &outcome,
-        high_water,
-        routed - routed_before,
-        sheds - sheds_before,
-    )
+    let high_water = cluster.inflight_high_water();
+    let routed = cluster.completions_routed() - routed_before;
+    let sheds = cluster.openloop_sheds() - sheds_before;
+    drop(cluster.shutdown());
+    row_from_outcome(T::NAME, rate, args, &outcome, high_water, routed, sheds)
 }
 
 fn row_from_outcome(
-    backend: Backend,
+    backend: &'static str,
     rate: f64,
     args: &Args,
     outcome: &OpenLoopOutcome,
     high_water: u64,
     routed: u64,
     sheds: u64,
-) -> RawSweepRow {
+) -> Row {
     let mut lat = outcome.latencies_us.clone();
     let achieved = outcome.achieved_ops_per_s();
-    let metric = |name: &'static str, value: f64| (name, render_value(name, value));
-    let row: RawSweepRow = vec![
-        ("backend", format!("\"{}\"", backend.name())),
-        metric("offered_ops_per_s", rate),
-        metric("ops_scheduled", outcome.scheduled as f64),
-        metric("ops_submitted", outcome.submitted as f64),
-        metric("ops_completed", outcome.completed as f64),
-        metric("op_timeouts", outcome.timeouts as f64),
-        metric("openloop_sheds", sheds as f64),
-        metric("inflight_cap", args.inflight_cap as f64),
-        metric("inflight_high_water", high_water as f64),
-        metric("completions_routed", routed as f64),
-        metric("achieved_ops_per_s", achieved),
-        metric("latency_p50_us", percentile(&mut lat, 0.50)),
-        metric("latency_p99_us", percentile(&mut lat, 0.99)),
-        metric("latency_p999_us", percentile(&mut lat, 0.999)),
+    let row: Row = vec![
+        ("backend", backend.into()),
+        ("offered_ops_per_s", rate.into()),
+        ("ops_scheduled", outcome.scheduled.into()),
+        ("ops_submitted", outcome.submitted.into()),
+        ("ops_completed", outcome.completed.into()),
+        ("op_timeouts", outcome.timeouts.into()),
+        ("openloop_sheds", sheds.into()),
+        ("inflight_cap", args.inflight_cap.into()),
+        ("inflight_high_water", high_water.into()),
+        ("completions_routed", routed.into()),
+        ("achieved_ops_per_s", achieved.into()),
+        ("latency_p50_us", percentile(&mut lat, 0.50).into()),
+        ("latency_p99_us", percentile(&mut lat, 0.99).into()),
+        ("latency_p999_us", percentile(&mut lat, 0.999).into()),
     ];
     for (name, value) in &row {
-        println!("[{} @ {rate:.0} ops/s] {name}: {value}", backend.name());
+        println!("[{backend} @ {rate:.0} ops/s] {name}: {value}");
     }
     row
 }
 
-/// Renders the numeric part of a row through the shared integer/decimal
-/// convention (`render_sweep_metric` emits `"name": value`; rows need the
-/// value alone).
-fn render_value(name: &str, value: f64) -> String {
-    let rendered = render_sweep_metric(name, value);
-    rendered
-        .split_once(": ")
-        .map(|(_, v)| v.to_string())
-        .unwrap_or_else(|| format!("{value:.2}"))
-}
-
 /// Prints the knee of a backend's achieved-vs-offered curve: the highest
 /// offered rate the backend still served at ≥90%.
-fn report_knee(rows: &[RawSweepRow], backend: Backend, baseline: f64) {
-    let field = |row: &RawSweepRow, name: &str| -> f64 {
-        row.iter()
-            .find(|(n, _)| *n == name)
-            .and_then(|(_, v)| v.trim_matches('"').parse().ok())
-            .unwrap_or(0.0)
-    };
+fn report_knee(rows: &[Row], backend: &'static str, baseline: f64) {
+    let field = |row: &Row, name: &str| cell(row, name).map_or(0.0, Cell::as_f64);
     let mut knee: Option<(f64, f64)> = None;
-    for row in rows.iter().filter(|row| {
-        row.iter()
-            .any(|(n, v)| *n == "backend" && v.trim_matches('"') == backend.name())
-    }) {
+    for row in rows
+        .iter()
+        .filter(|row| cell(row, "backend") == Some(Cell::Str(backend)))
+    {
         let offered = field(row, "offered_ops_per_s");
         let achieved = field(row, "achieved_ops_per_s");
         if achieved >= 0.9 * offered {
@@ -591,21 +436,15 @@ fn report_knee(rows: &[RawSweepRow], backend: Backend, baseline: f64) {
             } else {
                 String::new()
             };
-            println!(
-                "[{}] knee: {achieved:.0} ops/s achieved at {offered:.0} offered{vs}",
-                backend.name(),
-            );
+            println!("[{backend}] knee: {achieved:.0} ops/s achieved at {offered:.0} offered{vs}");
         }
-        None => println!(
-            "[{}] knee below the lowest offered rate — all rows overloaded",
-            backend.name(),
-        ),
+        None => println!("[{backend}] knee below the lowest offered rate — all rows overloaded"),
     }
 }
 
 /// Renders the `history` header object recording the closed-loop blocking
 /// baselines the sweep is compared against.
-fn render_history(baselines: &[(Backend, f64)], args: &Args) -> String {
+fn render_history(baselines: &[(&str, f64)], args: &Args) -> String {
     let mut out = String::from("{\n    \"closed_loop_blocking_baseline\": {\n");
     out.push_str(&format!(
         "      \"note\": \"one ticket at a time over the identical operation sequence ({} ops, read fraction {:.2})\",\n",
@@ -614,8 +453,7 @@ fn render_history(baselines: &[(Backend, f64)], args: &Args) -> String {
     for (i, (backend, rate)) in baselines.iter().enumerate() {
         let comma = if i + 1 == baselines.len() { "" } else { "," };
         out.push_str(&format!(
-            "      \"{}_ops_per_s\": {rate:.2}{comma}\n",
-            backend.name(),
+            "      \"{backend}_ops_per_s\": {rate:.2}{comma}\n"
         ));
     }
     out.push_str("    }\n  }");

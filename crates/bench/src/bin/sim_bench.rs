@@ -18,7 +18,7 @@
 use std::time::Instant;
 
 use dataflasks::prelude::*;
-use dataflasks_bench::{write_sweep_json, SweepRow};
+use dataflasks_bench::{cell, publish, Cell, Row, SIM_RULES};
 
 /// Per-row metrics, in emission order. The parent process maps subprocess
 /// output back onto these `'static` names.
@@ -175,7 +175,7 @@ fn main() {
     }
 
     let exe = std::env::current_exe().expect("current_exe");
-    let rows: Vec<SweepRow> = args
+    let rows: Vec<Row> = args
         .rows
         .iter()
         .map(|&nodes| {
@@ -195,21 +195,8 @@ fn main() {
         })
         .collect();
 
-    write_sweep_json(
-        &args.out,
-        &[
-            ("seed", args.seed.to_string()),
-            ("churn_pct", args.churn_pct.to_string()),
-            ("history", PRE_SLAB_HISTORY.to_string()),
-        ],
-        &rows,
-    );
     for row in &rows {
-        let metric = |name: &str| -> f64 {
-            row.iter()
-                .find(|(n, _)| *n == name)
-                .map_or(0.0, |(_, v)| *v)
-        };
+        let metric = |name: &str| cell(row, name).map_or(0.0, Cell::as_f64);
         println!(
             "nodes {:>7}: {:>10.0} events/s, {:>7.1} wall-ms per sim-s, spawn {:>6.0} ms, peak RSS {:>8.0} kB",
             metric("nodes"),
@@ -219,23 +206,41 @@ fn main() {
             metric("peak_rss_kb"),
         );
     }
+    let requested: Vec<Row> = args
+        .rows
+        .iter()
+        .map(|&nodes| vec![("nodes", nodes.into())])
+        .collect();
+    publish(
+        &args.out,
+        &[
+            ("seed", args.seed.to_string()),
+            ("churn_pct", args.churn_pct.to_string()),
+            ("history", PRE_SLAB_HISTORY.to_string()),
+        ],
+        &rows,
+        SIM_RULES,
+        &requested,
+    );
 }
 
 /// Maps `SIMROW name value` subprocess lines back onto the static field
-/// names (order and completeness are asserted, so a schema drift between
-/// parent and child fails loudly).
-fn parse_row(stdout: &str) -> SweepRow {
-    let mut row = SweepRow::new();
+/// names and their types (a value with a decimal point is a measured
+/// quantity, one without a count). Order and completeness are asserted, so
+/// a schema drift between parent and child fails loudly.
+fn parse_row(stdout: &str) -> Row {
+    let mut row = Row::new();
     for line in stdout.lines() {
         let Some(rest) = line.strip_prefix("SIMROW ") else {
             continue;
         };
-        let mut parts = rest.split_whitespace();
-        let name = parts.next().expect("SIMROW line has a metric name");
-        let value: f64 = parts
-            .next()
-            .and_then(|v| v.parse().ok())
-            .expect("SIMROW line has a numeric value");
+        let (name, value) = rest
+            .split_once(' ')
+            .expect("SIMROW line has a name and a value");
+        let value = match value.parse() {
+            Ok(count) => Cell::Int(count),
+            Err(_) => Cell::Float(value.parse().expect("SIMROW value is numeric")),
+        };
         let field = ROW_FIELDS
             .iter()
             .find(|f| **f == name)
@@ -254,7 +259,7 @@ fn parse_row(stdout: &str) -> SweepRow {
 /// the row. The schedule is identical at every scale (fixed operation count,
 /// churn proportional to the cluster): warm-up, a churn window with the
 /// write workload riding on it, reads against the written keys, drain.
-fn run_row(args: &Args, nodes: usize) -> SweepRow {
+fn run_row(args: &Args, nodes: usize) -> Row {
     // Constant slice size (~200 nodes by default), protocol periods at their
     // defaults (1 s shuffle and gossip, 5 s anti-entropy). A slightly wider
     // global fanout than the figure experiments (4 vs 3) keeps the epidemic
@@ -267,7 +272,7 @@ fn run_row(args: &Args, nodes: usize) -> SweepRow {
 
     // A short client timeout so any miss resolves well inside the drain
     // window: every get reaches a terminal state (hit or miss) by the end of
-    // the schedule, which is what check_bench's completion guard verifies.
+    // the schedule, which is what the artifact's completion rules check.
     let mut sim = Simulation::new(SimConfig {
         seed: args.seed ^ ((nodes as u64) << 32),
         client_timeout: Duration::from_secs(5),
@@ -337,31 +342,37 @@ fn run_row(args: &Args, nodes: usize) -> SweepRow {
     );
     let events = sim.events_dispatched();
     let events_per_s = events as f64 / (run_wall_ms as f64 / 1_000.0).max(1e-9);
-    let row = vec![
-        ("nodes", nodes as f64),
-        ("slices", slices as f64),
-        ("spawn_ms", spawn_ms as f64),
-        ("spawn_ms_per_node", spawn_ms as f64 / nodes.max(1) as f64),
-        ("sim_seconds", sim_seconds as f64),
-        ("run_wall_ms", run_wall_ms as f64),
-        ("wall_ms_per_sim_s", run_wall_ms as f64 / sim_seconds as f64),
-        ("events_dispatched", events as f64),
-        ("events_per_s", events_per_s),
-        ("timer_fires", sim.timer_fires() as f64),
-        ("messages_delivered", sim.messages_delivered() as f64),
-        ("messages_dropped", sim.messages_dropped() as f64),
-        ("crashes", churn as f64),
-        ("joins", churn as f64),
-        ("alive_end", sim.alive_count() as f64),
-        ("puts_submitted", args.puts as f64),
-        ("puts_completed", stats.puts_acked as f64),
-        ("gets_submitted", args.gets as f64),
-        ("gets_answered", (stats.gets_hit + stats.gets_missed) as f64),
-        ("get_hits", stats.gets_hit as f64),
-        ("peak_rss_kb", peak_rss_kb() as f64),
+    let row: Row = vec![
+        ("nodes", nodes.into()),
+        ("slices", (slices as u64).into()),
+        ("spawn_ms", (spawn_ms as u64).into()),
+        (
+            "spawn_ms_per_node",
+            (spawn_ms as f64 / nodes.max(1) as f64).into(),
+        ),
+        ("sim_seconds", sim_seconds.into()),
+        ("run_wall_ms", (run_wall_ms as u64).into()),
+        (
+            "wall_ms_per_sim_s",
+            (run_wall_ms as f64 / sim_seconds as f64).into(),
+        ),
+        ("events_dispatched", events.into()),
+        ("events_per_s", events_per_s.into()),
+        ("timer_fires", sim.timer_fires().into()),
+        ("messages_delivered", sim.messages_delivered().into()),
+        ("messages_dropped", sim.messages_dropped().into()),
+        ("crashes", churn.into()),
+        ("joins", churn.into()),
+        ("alive_end", sim.alive_count().into()),
+        ("puts_submitted", args.puts.into()),
+        ("puts_completed", stats.puts_acked.into()),
+        ("gets_submitted", args.gets.into()),
+        ("gets_answered", (stats.gets_hit + stats.gets_missed).into()),
+        ("get_hits", stats.gets_hit.into()),
+        ("peak_rss_kb", peak_rss_kb().into()),
     ];
     for (name, value) in &row {
-        println!("[nodes {nodes}] {name}: {value:.2}");
+        println!("[nodes {nodes}] {name}: {value}");
     }
     row
 }

@@ -4,12 +4,18 @@
 //! Every experiment follows the same skeleton (build a simulated cluster, let
 //! the gossip substrate converge, drive a YCSB-style workload, report the
 //! per-node message statistics), so the harness lives here and the binaries
-//! only differ in the parameter sweep they run. See `DESIGN.md` §4 for the
-//! experiment-to-paper mapping and `EXPERIMENTS.md` for recorded results.
+//! only differ in the parameter sweep they run. README.md's "Benchmarks and
+//! experiments" section names the artifact or paper figure each binary
+//! regenerates.
+//!
+//! The artifact half ([`Cell`], [`Row`], [`Rule`], [`publish`]) is shared by
+//! every binary that writes a `BENCH_*.json`: one writer, and the checks a
+//! run must pass before its binary exits zero.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use dataflasks::net_env::{InProcess, Socket, Transport};
 use dataflasks::prelude::*;
 use dataflasks::sim::Distribution;
 
@@ -59,117 +65,83 @@ impl ExperimentConfig {
     }
 }
 
-/// Sweep fields that are counts (or identifiers) by construction: they are
-/// emitted as JSON integers (`"dials": 62`), never as decorated floats
-/// (`62.00`), so downstream tooling — and the CI guard's exact greps —
-/// parse them as the integers they are. Every measured quantity (rates,
-/// latencies, per-node ratios) keeps two decimals.
-const INTEGER_FIELDS: &[&str] = &[
-    "workers",
-    "nodes",
-    "slices",
-    "spawn_ms",
-    "spawn_build_ms",
-    "spawn_arm_ms",
-    "puts_submitted",
-    "puts_completed",
-    "gets_submitted",
-    "gets_answered",
-    "get_hits",
-    "mailbox_saturations",
-    "dials",
-    "dial_retries",
-    "wire_rejects",
-    "gossip_messages",
-    "ae_chunks_skipped",
-    "replica_objects_total",
-    "arena_fresh_buffers",
-    "arena_recycled_buffers",
-    "arena_steady_fresh_delta",
-    "batch_fresh_vectors",
-    "sim_seconds",
-    "run_wall_ms",
-    "events_dispatched",
-    "timer_fires",
-    "messages_delivered",
-    "messages_dropped",
-    "crashes",
-    "joins",
-    "alive_end",
-    "peak_rss_kb",
-    "ops_scheduled",
-    "ops_submitted",
-    "ops_completed",
-    "op_timeouts",
-    "openloop_sheds",
-    "inflight_cap",
-    "inflight_high_water",
-    "completions_routed",
-];
-
-/// Renders one metric line of the sweep-JSON schema shared by
-/// `BENCH_async.json` and `BENCH_socket.json`: count fields (see
-/// `INTEGER_FIELDS`) as true JSON integers, measured quantities with two
-/// decimals.
-#[must_use]
-pub fn render_sweep_metric(name: &str, value: f64) -> String {
-    if INTEGER_FIELDS.contains(&name) {
-        format!("\"{name}\": {value:.0}")
-    } else {
-        format!("\"{name}\": {value:.2}")
-    }
+/// One value of an artifact row, typed by what its column means: a count
+/// renders as a JSON integer (`"dials": 62`), a measured quantity (rate,
+/// latency, ratio) with two decimals (`"put_latency_p50_us": 79.40`), a
+/// label as a JSON string (`"backend": "async"`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Cell {
+    /// A count or an identifier.
+    Int(u64),
+    /// A measured quantity.
+    Float(f64),
+    /// A label.
+    Str(&'static str),
 }
 
-/// One row of a worker-sweep bench run: metric name → value, in emission
-/// order (the first entry is conventionally `workers`).
-pub type SweepRow = Vec<(&'static str, f64)>;
-
-/// Writes a worker-sweep bench artifact in the JSON schema shared by
-/// `BENCH_async.json` and `BENCH_socket.json`: the pre-rendered top-level
-/// fields, then one object per sweep row (each metric through
-/// [`render_sweep_metric`]).
-///
-/// `header` values are inserted verbatim, so callers render them as JSON
-/// themselves (`"220.00"`, `"\"tcp\""`).
-///
-/// # Panics
-///
-/// Panics if the artifact cannot be written.
-pub fn write_sweep_json(path: &str, header: &[(&str, String)], rows: &[SweepRow]) {
-    let mut json = String::from("{\n");
-    for (name, value) in header {
-        json.push_str(&format!("  \"{name}\": {value},\n"));
-    }
-    json.push_str("  \"sweep\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        json.push_str("    {\n");
-        for (j, (name, value)) in row.iter().enumerate() {
-            let comma = if j + 1 == row.len() { "" } else { "," };
-            let metric = render_sweep_metric(name, *value);
-            json.push_str(&format!("      {metric}{comma}\n"));
+impl Cell {
+    /// The cell as a number (a label reads as zero).
+    #[must_use]
+    pub fn as_f64(self) -> f64 {
+        match self {
+            Self::Int(value) => value as f64,
+            Self::Float(value) => value,
+            Self::Str(_) => 0.0,
         }
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        json.push_str(&format!("    }}{comma}\n"));
     }
-    json.push_str("  ]\n}\n");
-    std::fs::write(path, &json).unwrap_or_else(|error| panic!("write {path}: {error}"));
-    println!("wrote {path}");
 }
 
-/// One row of a mixed-type sweep: metric name → pre-rendered JSON value
-/// (`"12"`, `"3.50"`, `"\"socket\""`). Used by artifacts whose rows carry
-/// non-numeric columns (the open-loop sweep tags every row with its
-/// backend).
-pub type RawSweepRow = Vec<(&'static str, String)>;
+impl std::fmt::Display for Cell {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Int(value) => write!(f, "{value}"),
+            Self::Float(value) => write!(f, "{value:.2}"),
+            Self::Str(label) => write!(f, "\"{label}\""),
+        }
+    }
+}
 
-/// Like [`write_sweep_json`], but the row values are inserted verbatim, so
-/// rows can mix integers, floats and strings. Render numeric fields through
-/// [`render_sweep_metric`] to keep the integer/decimal convention.
-///
-/// # Panics
-///
-/// Panics if the artifact cannot be written.
-pub fn write_raw_sweep_json(path: &str, header: &[(&str, String)], rows: &[RawSweepRow]) {
+impl From<u64> for Cell {
+    fn from(value: u64) -> Self {
+        Self::Int(value)
+    }
+}
+
+impl From<usize> for Cell {
+    fn from(value: usize) -> Self {
+        Self::Int(value as u64)
+    }
+}
+
+impl From<f64> for Cell {
+    fn from(value: f64) -> Self {
+        Self::Float(value)
+    }
+}
+
+impl From<&'static str> for Cell {
+    fn from(label: &'static str) -> Self {
+        Self::Str(label)
+    }
+}
+
+/// One row of a bench artifact: column name → value, in emission order.
+pub type Row = Vec<(&'static str, Cell)>;
+
+/// The value of `column` in `row`, if the row has that column.
+#[must_use]
+pub fn cell(row: &[(&'static str, Cell)], column: &str) -> Option<Cell> {
+    row.iter()
+        .find(|(name, _)| *name == column)
+        .map(|&(_, value)| value)
+}
+
+/// Renders a bench artifact in the schema every `BENCH_*.json` shares: the
+/// top-level header fields, then one object per row under `"sweep"`.
+/// `header` values are inserted verbatim, so callers render them as JSON
+/// themselves (a [`Cell`]'s `to_string()`, or a nested `history` object).
+#[must_use]
+pub fn render_sweep_json(header: &[(&str, String)], rows: &[Row]) -> String {
     let mut json = String::from("{\n");
     for (name, value) in header {
         json.push_str(&format!("  \"{name}\": {value},\n"));
@@ -185,8 +157,266 @@ pub fn write_raw_sweep_json(path: &str, header: &[(&str, String)], rows: &[RawSw
         json.push_str(&format!("    }}{comma}\n"));
     }
     json.push_str("  ]\n}\n");
-    std::fs::write(path, &json).unwrap_or_else(|error| panic!("write {path}: {error}"));
+    json
+}
+
+/// A condition every row of an artifact must meet.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Rule {
+    /// The column reads above zero: a row that completed no operation did
+    /// no work, and an `events_per_s` of zero means the event loop never ran.
+    Positive(&'static str),
+    /// The column reads zero (invariant violations; fresh allocations in a
+    /// phase that must run on recycled memory).
+    Zero(&'static str),
+    /// The two columns read the same: every submitted operation completed.
+    Equal(&'static str, &'static str),
+    /// The column increases strictly, in row order, among the rows that
+    /// share their value of `within` — a shuffled or duplicated offered-load
+    /// sweep would make its knee meaningless.
+    Increasing {
+        /// The column that must increase.
+        column: &'static str,
+        /// The column grouping the rows (the backend).
+        within: &'static str,
+    },
+}
+
+/// What every closed-loop sweep row (`cluster_bench`) must show: all of its
+/// operations completed, the periodic substrate ran, and no frame was
+/// rejected (loopback and mailbox frames are byte-exact; a reject is an
+/// encoder/decoder bug).
+pub const CLOSED_LOOP_RULES: &[Rule] = &[
+    Rule::Positive("puts_completed"),
+    Rule::Positive("gets_answered"),
+    Rule::Equal("puts_submitted", "puts_completed"),
+    Rule::Equal("gets_submitted", "gets_answered"),
+    Rule::Positive("gossip_messages"),
+    Rule::Zero("wire_rejects"),
+];
+
+/// `cluster_bench --assert-steady-alloc`: the warmed cluster's latency
+/// phase runs entirely on recycled frame and reassembly buffers, and every
+/// worker batches from the vectors its earlier rounds handed back.
+pub const STEADY_ALLOC_RULES: &[Rule] = &[
+    Rule::Zero("arena_steady_fresh_delta"),
+    Rule::Zero("batch_steady_fresh_delta"),
+];
+
+/// Simulator sweep rows (`sim_bench`): every operation of the schedule
+/// reached a terminal state (the short client timeout guarantees it can),
+/// and the event loop ran.
+pub const SIM_RULES: &[Rule] = &[
+    Rule::Positive("puts_completed"),
+    Rule::Positive("gets_answered"),
+    Rule::Equal("puts_submitted", "puts_completed"),
+    Rule::Equal("gets_submitted", "gets_answered"),
+    Rule::Positive("events_per_s"),
+];
+
+/// Open-loop rows (`openloop_bench`) may shed arrivals and time operations
+/// out — that visibility is the point — but each must complete something,
+/// and the offered load must climb within a backend.
+pub const OPEN_LOOP_RULES: &[Rule] = &[
+    Rule::Positive("ops_completed"),
+    Rule::Increasing {
+        column: "offered_ops_per_s",
+        within: "backend",
+    },
+];
+
+/// Nemesis rows (`nemesis_bench`): the cluster under fault injection broke
+/// no invariant. Timed-out operations are the signal there, not a failure.
+pub const NEMESIS_RULES: &[Rule] = &[Rule::Zero("invariant_violations")];
+
+/// Names a row in a violation: its index and first two columns, which every
+/// artifact keys its rows by (`workers`/`nodes`, `backend`/offered load,
+/// `scenario`/`nodes`).
+fn row_label(index: usize, row: &Row) -> String {
+    let key: Vec<String> = row
+        .iter()
+        .take(2)
+        .map(|(name, value)| format!("{name} {value}"))
+        .collect();
+    format!("row {index} ({})", key.join(", "))
+}
+
+/// Every way `rows` break `rules`, plus every `requested` row — given by its
+/// key columns — that no row matches. Each entry names the row and the
+/// condition; a column a rule needs and a row lacks is a violation too.
+#[must_use]
+pub fn violations(rows: &[Row], rules: &[Rule], requested: &[Row]) -> Vec<String> {
+    let bound = |value: Option<Cell>, column: &str, ok: fn(f64) -> bool, want: &str| match value {
+        None => Some(format!("{column} missing")),
+        Some(value) if !ok(value.as_f64()) => Some(format!("{column} is {value}, must be {want}")),
+        Some(_) => None,
+    };
+    let mut found = Vec::new();
+    for rule in rules {
+        // Per `within` value of an `Increasing` rule: the last value seen.
+        let mut last: Vec<(Cell, f64)> = Vec::new();
+        for (index, row) in rows.iter().enumerate() {
+            let read = |column: &str| cell(row, column);
+            let problem = match *rule {
+                Rule::Positive(column) => bound(read(column), column, |v| v > 0.0, "positive"),
+                Rule::Zero(column) => bound(read(column), column, |v| v == 0.0, "0"),
+                Rule::Equal(left, right) => match (read(left), read(right)) {
+                    (Some(a), Some(b)) if a == b => None,
+                    (Some(a), Some(b)) => Some(format!("{right} is {b}, {left} is {a}")),
+                    _ => Some(format!("{left} or {right} missing")),
+                },
+                Rule::Increasing { column, within } => match (read(within), read(column)) {
+                    (Some(group), Some(value)) => {
+                        let value = value.as_f64();
+                        let previous = match last.iter_mut().find(|(g, _)| *g == group) {
+                            Some((_, slot)) => Some(std::mem::replace(slot, value)),
+                            None => {
+                                last.push((group, value));
+                                None
+                            }
+                        };
+                        previous.filter(|&p| value <= p).map(|p| {
+                            format!(
+                                "{column} {value:.2} does not increase on {p:.2} \
+                                 within {within} {group}"
+                            )
+                        })
+                    }
+                    _ => Some(format!("{within} or {column} missing")),
+                },
+            };
+            if let Some(problem) = problem {
+                found.push(format!("{}: {problem}", row_label(index, row)));
+            }
+        }
+    }
+    for key in requested {
+        let matches = |row: &Row| {
+            key.iter()
+                .all(|&(name, value)| cell(row, name) == Some(value))
+        };
+        if !rows.iter().any(matches) {
+            let key: Vec<String> = key
+                .iter()
+                .map(|(name, value)| format!("{name} {value}"))
+                .collect();
+            found.push(format!("requested row ({}) missing", key.join(", ")));
+        }
+    }
+    found
+}
+
+/// Writes a bench artifact and holds its rows to `rules` and `requested`
+/// (see [`violations`]). The rows are checked before the file is written;
+/// the file is written either way, so a failed run leaves its artifact to
+/// inspect; then every violation is printed and the process exits
+/// non-zero.
+///
+/// # Panics
+///
+/// Panics if the artifact cannot be written.
+pub fn publish(
+    path: &str,
+    header: &[(&str, String)],
+    rows: &[Row],
+    rules: &[Rule],
+    requested: &[Row],
+) {
+    let found = violations(rows, rules, requested);
+    let json = render_sweep_json(header, rows);
+    std::fs::write(path, json).unwrap_or_else(|error| panic!("write {path}: {error}"));
     println!("wrote {path}");
+    if !found.is_empty() {
+        for violation in &found {
+            eprintln!("{path}: {violation}");
+        }
+        std::process::exit(1);
+    }
+}
+
+/// A transport the benches host clusters on, configured from the knobs they
+/// set.
+pub trait BenchTransport: Transport {
+    /// The configuration for `workers` worker threads (`0` picks
+    /// `min(cores, 8)`) and mailboxes of `mailbox_capacity` (`0` =
+    /// unbounded); `socket` picks the socket family and is ignored
+    /// in-process.
+    fn config(workers: usize, mailbox_capacity: usize, socket: SocketTransportKind)
+        -> Self::Config;
+}
+
+impl BenchTransport for InProcess {
+    fn config(
+        workers: usize,
+        mailbox_capacity: usize,
+        _: SocketTransportKind,
+    ) -> AsyncClusterConfig {
+        AsyncClusterConfig {
+            workers,
+            mailbox_capacity,
+            ..AsyncClusterConfig::default()
+        }
+    }
+}
+
+impl BenchTransport for Socket {
+    fn config(
+        workers: usize,
+        mailbox_capacity: usize,
+        transport: SocketTransportKind,
+    ) -> SocketClusterConfig {
+        SocketClusterConfig {
+            workers,
+            mailbox_capacity,
+            transport,
+            ..SocketClusterConfig::default()
+        }
+    }
+}
+
+/// A client that knows the slice layout: each request goes to a member of
+/// its key's responsible slice, chosen uniformly. Built from the spec's warm
+/// node states, so it is a deterministic function of the spec.
+#[derive(Debug, Clone)]
+pub struct ContactPlan {
+    partition: SlicePartition,
+    members_by_slice: Vec<Vec<NodeId>>,
+}
+
+impl ContactPlan {
+    /// The plan of the cluster `spec` describes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice has no members (too few nodes per slice).
+    #[must_use]
+    pub fn build(spec: &ClusterSpec) -> Self {
+        let nodes = spec.build_nodes();
+        let partition = nodes[0].partition();
+        let mut members_by_slice = vec![Vec::new(); partition.slice_count() as usize];
+        for node in &nodes {
+            if let Some(slice) = node.slice() {
+                members_by_slice[slice.index() as usize].push(node.id());
+            }
+        }
+        for (index, members) in members_by_slice.iter().enumerate() {
+            assert!(
+                !members.is_empty(),
+                "slice {index} has no members: the nodes/slices ratio leaves \
+                 slices unpopulated; use at least ~25 nodes per slice"
+            );
+        }
+        Self {
+            partition,
+            members_by_slice,
+        }
+    }
+
+    /// A member of the slice responsible for `key`, drawn from `rng`.
+    pub fn contact_for(&self, key: Key, rng: &mut impl rand::Rng) -> NodeId {
+        let members = &self.members_by_slice[self.partition.slice_of(key).index() as usize];
+        members[rng.gen_range(0..members.len())]
+    }
 }
 
 /// What one open-loop run produced (see [`run_open_loop`]).
@@ -358,31 +588,6 @@ pub fn run_open_loop<C: PipelinedClient + ?Sized>(
     outcome
 }
 
-/// Prints a sweep's combined put+get throughput per row, relative to the
-/// first (baseline) row. `suffix` is appended to each row label (the socket
-/// bench names its transport there).
-pub fn print_scaling_summary(rows: &[SweepRow], suffix: &str) {
-    let metric = |row: &SweepRow, name: &str| -> f64 {
-        row.iter()
-            .find(|(n, _)| *n == name)
-            .map_or(0.0, |(_, v)| *v)
-    };
-    let Some(baseline) = rows.first() else { return };
-    let base =
-        metric(baseline, "put_throughput_ops_per_s") + metric(baseline, "get_throughput_ops_per_s");
-    for row in rows {
-        let combined =
-            metric(row, "put_throughput_ops_per_s") + metric(row, "get_throughput_ops_per_s");
-        println!(
-            "workers {:>2}{suffix}: put+get {:>10.0} ops/s ({:.2}x of the {}-worker baseline)",
-            metric(row, "workers"),
-            combined,
-            if base > 0.0 { combined / base } else { 0.0 },
-            metric(baseline, "workers"),
-        );
-    }
-}
-
 /// Drains environment replies until `total` distinct requests completed
 /// (first matching reply wins), completions stop making progress (a raw
 /// epidemic search can die of TTL; clients would retry), or a generous cap
@@ -534,8 +739,9 @@ pub fn run_write_experiment(config: ExperimentConfig) -> ExperimentResult {
 /// The node counts swept by the paper's figures.
 pub const PAPER_NODE_COUNTS: [usize; 6] = [500, 1000, 1500, 2000, 2500, 3000];
 
-/// Number of objects each slice is provisioned for when sizing the workload
-/// (the YCSB load is proportional to the system capacity, see DESIGN.md §4).
+/// Number of objects each slice is provisioned for when sizing the workload:
+/// the YCSB load is proportional to the system capacity, i.e. to the slice
+/// count.
 pub const OBJECTS_PER_SLICE: usize = 40;
 
 /// Builds the Figure 3 configuration for a given system size: a constant
@@ -639,6 +845,274 @@ mod tests {
         assert_eq!(
             result.to_csv_row().split(',').count(),
             ExperimentResult::csv_header().split(',').count()
+        );
+    }
+
+    #[test]
+    fn cells_render_by_their_type() {
+        assert_eq!(Cell::from(62u64).to_string(), "62");
+        assert_eq!(Cell::from(1600usize).to_string(), "1600");
+        assert_eq!(Cell::from(0.2).to_string(), "0.20");
+        assert_eq!(Cell::from(600.0).to_string(), "600.00");
+        assert_eq!(Cell::from(8376.419).to_string(), "8376.42");
+        assert_eq!(Cell::from("async").to_string(), "\"async\"");
+    }
+
+    #[test]
+    fn the_writer_reproduces_the_socket_artifact_layout() {
+        let header = [
+            (
+                "workload_mode",
+                Cell::Str("closed_loop_latency_bound").to_string(),
+            ),
+            ("nodes", 220.to_string()),
+            ("slices", 4.to_string()),
+            ("mailbox_capacity", 0.to_string()),
+            ("transport", Cell::Str("tcp").to_string()),
+            (
+                "history",
+                "{\n    \"reactor_side_decode\": {\n      \"workers\": 1\n    }\n  }".to_string(),
+            ),
+        ];
+        let row: Row = vec![
+            ("workers", 1usize.into()),
+            ("nodes", 220usize.into()),
+            ("spawn_ms", 43u64.into()),
+            ("spawn_ms_per_node", 0.195.into()),
+            ("puts_submitted", 1600usize.into()),
+            ("puts_completed", 1600usize.into()),
+            ("put_throughput_ops_per_s", 8376.42.into()),
+            ("put_latency_p999_us", 960.71.into()),
+            ("dials", 220u64.into()),
+            ("arena_recycled_buffers", 3785872u64.into()),
+            ("replica_objects_total", 55229usize.into()),
+        ];
+        let expected = r#"{
+  "workload_mode": "closed_loop_latency_bound",
+  "nodes": 220,
+  "slices": 4,
+  "mailbox_capacity": 0,
+  "transport": "tcp",
+  "history": {
+    "reactor_side_decode": {
+      "workers": 1
+    }
+  },
+  "sweep": [
+    {
+      "workers": 1,
+      "nodes": 220,
+      "spawn_ms": 43,
+      "spawn_ms_per_node": 0.20,
+      "puts_submitted": 1600,
+      "puts_completed": 1600,
+      "put_throughput_ops_per_s": 8376.42,
+      "put_latency_p999_us": 960.71,
+      "dials": 220,
+      "arena_recycled_buffers": 3785872,
+      "replica_objects_total": 55229
+    },
+    {
+      "workers": 1,
+      "nodes": 220,
+      "spawn_ms": 43,
+      "spawn_ms_per_node": 0.20,
+      "puts_submitted": 1600,
+      "puts_completed": 1600,
+      "put_throughput_ops_per_s": 8376.42,
+      "put_latency_p999_us": 960.71,
+      "dials": 220,
+      "arena_recycled_buffers": 3785872,
+      "replica_objects_total": 55229
+    }
+  ]
+}
+"#;
+        assert_eq!(render_sweep_json(&header, &[row.clone(), row]), expected);
+    }
+
+    /// A closed-loop or sim row: `puts_*`/`gets_*` counts plus the other
+    /// columns the closed-loop rules read, all healthy.
+    fn completion_row(puts: (usize, usize), gets: (usize, usize)) -> Row {
+        vec![
+            ("workers", 1usize.into()),
+            ("nodes", 220usize.into()),
+            ("puts_submitted", puts.0.into()),
+            ("puts_completed", puts.1.into()),
+            ("gets_submitted", gets.0.into()),
+            ("gets_answered", gets.1.into()),
+            ("gossip_messages", 1538u64.into()),
+            ("wire_rejects", 0u64.into()),
+            ("events_per_s", 250932.26.into()),
+        ]
+    }
+
+    /// `rules` pass `good` and reject `bad` with a violation naming the row
+    /// and containing `condition`.
+    fn assert_judged(rules: &[Rule], good: Vec<Row>, bad: Vec<Row>, condition: &str) {
+        assert_eq!(violations(&good, rules, &[]), Vec::<String>::new());
+        let found = violations(&bad, rules, &[]);
+        assert!(
+            found
+                .iter()
+                .any(|v| v.starts_with("row ") && v.contains(condition)),
+            "expected a violation containing {condition:?}, got {found:?}"
+        );
+    }
+
+    #[test]
+    fn a_row_with_zero_completed_operations_fails() {
+        for rules in [CLOSED_LOOP_RULES, SIM_RULES] {
+            let good = completion_row((150, 150), (150, 150));
+            assert_judged(
+                rules,
+                vec![good.clone()],
+                vec![good.clone(), completion_row((0, 0), (150, 150))],
+                "puts_completed is 0",
+            );
+            assert_judged(
+                rules,
+                vec![good],
+                vec![completion_row((150, 150), (0, 0))],
+                "gets_answered is 0",
+            );
+        }
+        let open = |completed: usize| -> Row {
+            vec![
+                ("backend", "async".into()),
+                ("offered_ops_per_s", 300.0.into()),
+                ("ops_completed", completed.into()),
+            ]
+        };
+        assert_judged(
+            OPEN_LOOP_RULES,
+            vec![open(1200)],
+            vec![open(0)],
+            "ops_completed is 0",
+        );
+    }
+
+    #[test]
+    fn submitted_but_uncompleted_puts_or_gets_fail() {
+        for rules in [CLOSED_LOOP_RULES, SIM_RULES] {
+            let good = vec![completion_row((150, 150), (150, 150))];
+            assert_judged(
+                rules,
+                good.clone(),
+                vec![completion_row((150, 149), (150, 150))],
+                "puts_completed is 149, puts_submitted is 150",
+            );
+            assert_judged(
+                rules,
+                good,
+                vec![completion_row((150, 150), (150, 149))],
+                "gets_answered is 149, gets_submitted is 150",
+            );
+        }
+    }
+
+    #[test]
+    fn a_nemesis_row_with_invariant_violations_fails() {
+        let row = |violations: usize| -> Row {
+            vec![
+                ("scenario", "sim_churn_partition".into()),
+                ("nodes", 10_000usize.into()),
+                ("invariant_violations", violations.into()),
+            ]
+        };
+        assert_judged(
+            NEMESIS_RULES,
+            vec![row(0)],
+            vec![row(2)],
+            "invariant_violations is 2, must be 0",
+        );
+    }
+
+    #[test]
+    fn offered_load_must_increase_within_a_backend() {
+        let row = |backend: &'static str, offered: f64| -> Row {
+            vec![
+                ("backend", backend.into()),
+                ("offered_ops_per_s", offered.into()),
+                ("ops_completed", 10usize.into()),
+            ]
+        };
+        // Each backend restarts the climb; only order within one counts.
+        let good = vec![
+            row("async", 300.0),
+            row("async", 600.0),
+            row("socket", 300.0),
+            row("socket", 600.0),
+        ];
+        assert_judged(
+            OPEN_LOOP_RULES,
+            good.clone(),
+            vec![row("async", 600.0), row("async", 300.0)],
+            "offered_ops_per_s 300.00 does not increase on 600.00 within backend \"async\"",
+        );
+        assert_judged(
+            OPEN_LOOP_RULES,
+            good,
+            vec![row("socket", 300.0), row("socket", 300.0)],
+            "does not increase",
+        );
+    }
+
+    #[test]
+    fn sim_rows_need_positive_events_per_s() {
+        let healthy = completion_row((800, 800), (800, 800));
+        let mut missing = healthy.clone();
+        missing.retain(|(name, _)| *name != "events_per_s");
+        let mut stalled = missing.clone();
+        stalled.push(("events_per_s", 0.0.into()));
+        assert_judged(
+            SIM_RULES,
+            vec![healthy.clone()],
+            vec![stalled],
+            "events_per_s is 0.00, must be positive",
+        );
+        assert_judged(
+            SIM_RULES,
+            vec![healthy],
+            vec![missing],
+            "events_per_s missing",
+        );
+    }
+
+    #[test]
+    fn a_requested_row_missing_from_the_output_fails() {
+        let key = |nodes: usize, workers: usize| -> Row {
+            vec![("nodes", nodes.into()), ("workers", workers.into())]
+        };
+        let rows = vec![completion_row((150, 150), (150, 150))];
+        assert!(violations(&rows, CLOSED_LOOP_RULES, &[key(220, 1)]).is_empty());
+        assert_eq!(
+            violations(&rows, CLOSED_LOOP_RULES, &[key(220, 1), key(2000, 2)]),
+            vec!["requested row (nodes 2000, workers 2) missing".to_string()],
+        );
+    }
+
+    #[test]
+    fn steady_alloc_fails_on_fresh_buffers_or_vectors_in_the_latency_phase() {
+        let row = |arena: u64, batch: u64| -> Row {
+            vec![
+                ("workers", 2usize.into()),
+                ("nodes", 2000usize.into()),
+                ("arena_steady_fresh_delta", arena.into()),
+                ("batch_steady_fresh_delta", batch.into()),
+            ]
+        };
+        assert_judged(
+            STEADY_ALLOC_RULES,
+            vec![row(0, 0)],
+            vec![row(3, 0)],
+            "row 0 (workers 2, nodes 2000): arena_steady_fresh_delta is 3, must be 0",
+        );
+        assert_judged(
+            STEADY_ALLOC_RULES,
+            vec![row(0, 0)],
+            vec![row(0, 1)],
+            "batch_steady_fresh_delta is 1, must be 0",
         );
     }
 }

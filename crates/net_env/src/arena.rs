@@ -11,8 +11,8 @@
 //! The arena keeps score: [`BufferArena::fresh_buffers`] counts `take`
 //! calls the pool could not serve (a real allocation), and
 //! [`BufferArena::recycled_buffers`] counts the hits. Once a cluster is
-//! warm, the fresh counter must stop moving — `socket_bench
-//! --assert-steady-alloc` turns exactly that into a hard assertion.
+//! warm, the fresh counter must stop moving — `cluster_bench
+//! --assert-steady-alloc` turns exactly that into a hard failure.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -183,7 +183,7 @@ impl Routing<'_> {
 /// The simulation owns the nodes (running the *real* protocol code from
 /// `dataflasks-core`), the client libraries, a virtual clock and a simulated
 /// network with configurable latency and loss. This is the substitution for
-/// the Minha simulator used by the paper (see DESIGN.md §1).
+/// the Minha simulator used by the paper.
 ///
 /// Node state lives in a dense slab indexed by the (sequentially allocated)
 /// node id, with a swap-remove alive list beside it, and periodic protocol
