@@ -354,7 +354,6 @@ impl BenchTransport for InProcess {
         AsyncClusterConfig {
             workers,
             mailbox_capacity,
-            ..AsyncClusterConfig::default()
         }
     }
 }

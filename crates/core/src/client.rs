@@ -283,13 +283,17 @@ impl ClientLibrary {
     /// Gets for which at least one responsible replica answered "not found"
     /// are reported as [`OperationOutcome::GetMiss`]; operations that heard
     /// nothing at all are reported as [`OperationOutcome::TimedOut`].
+    /// Expired operations come back in [`RequestId`] order.
     pub fn expire_pending(&mut self, now: SimTime, timeout: Duration) -> Vec<CompletedOperation> {
-        let expired_ids: Vec<RequestId> = self
+        let mut expired_ids: Vec<RequestId> = self
             .pending
             .iter()
             .filter(|(_, op)| now.saturating_since(op.issued_at) >= timeout)
             .map(|(&id, _)| id)
             .collect();
+        // The map's iteration order is randomized per process; the
+        // operation log must be a function of the seed.
+        expired_ids.sort_unstable();
         let mut expired = Vec::with_capacity(expired_ids.len());
         for id in expired_ids {
             let op = self.pending.remove(&id).expect("id was just collected");

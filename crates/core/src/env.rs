@@ -627,48 +627,14 @@ impl ClusterSpec {
     /// and infeasible at very large scales.
     #[must_use]
     pub fn build_cold_nodes(&self) -> Vec<DataFlasksNode<DefaultStore>> {
-        self.build_bare_nodes()
-    }
-
-    fn build_bare_nodes(&self) -> Vec<DataFlasksNode<DefaultStore>> {
         let shards = self.node_config.effective_store_shards();
-        let threads = Self::build_threads(self.capacities.len());
-        if threads > 1 {
-            // Node construction is independent per node (each derives its own
-            // seed), so large clusters materialise across the thread pool.
-            let mut nodes = Vec::with_capacity(self.capacities.len());
-            let chunk = self.capacities.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..self.capacities.len())
-                    .collect::<Vec<_>>()
-                    .chunks(chunk)
-                    .map(|indices| {
-                        let indices = indices.to_vec();
-                        scope.spawn(move || {
-                            indices
-                                .into_iter()
-                                .map(|i| {
-                                    let id = NodeId::new(i as u64);
-                                    DataFlasksNode::new(
-                                        id,
-                                        self.node_config,
-                                        self.profile(i),
-                                        ShardedStore::new(shards),
-                                        self.node_seed(id),
-                                    )
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    nodes.extend(handle.join().expect("node-build worker panicked"));
-                }
-            });
-            nodes
-        } else {
-            (0..self.capacities.len())
-                .map(|i| {
+        let mut indices: Vec<usize> = (0..self.capacities.len()).collect();
+        // Node construction is independent per node (each derives its own
+        // seed), so large clusters materialise across the thread pool.
+        let parts = Self::in_chunks(&mut indices, |chunk| {
+            chunk
+                .iter()
+                .map(|&i| {
                     let id = NodeId::new(i as u64);
                     DataFlasksNode::new(
                         id,
@@ -678,13 +644,17 @@ impl ClusterSpec {
                         self.node_seed(id),
                     )
                 })
-                .collect()
+                .collect::<Vec<_>>()
+        });
+        let mut nodes = Vec::with_capacity(indices.len());
+        for part in parts {
+            nodes.extend(part);
         }
+        nodes
     }
 
     fn build_rounds(&self) -> (Vec<DataFlasksNode<DefaultStore>>, Vec<Vec<NodeDescriptor>>) {
-        let threads = Self::build_threads(self.capacities.len());
-        let mut nodes = self.build_bare_nodes();
+        let mut nodes = self.build_cold_nodes();
         let mut rounds = Vec::with_capacity(2);
         for _ in 0..2 {
             let descriptors: Vec<NodeDescriptor> = nodes
@@ -695,44 +665,47 @@ impl ClusterSpec {
             // touches only its own state: the warm-up rounds parallelise
             // without changing a single observation (bootstrap draws no
             // randomness), so parallel and serial builds stay byte-identical.
-            if threads > 1 {
-                let chunk = nodes.len().div_ceil(threads);
-                std::thread::scope(|scope| {
-                    for batch in nodes.chunks_mut(chunk) {
-                        let descriptors = &descriptors;
-                        scope.spawn(move || {
-                            for node in batch {
-                                let own = node.id();
-                                node.bootstrap(
-                                    descriptors.iter().copied().filter(|d| d.id() != own),
-                                );
-                            }
-                        });
-                    }
-                });
-            } else {
-                for node in nodes.iter_mut() {
+            Self::in_chunks(&mut nodes, |chunk| {
+                for node in chunk {
                     let own = node.id();
                     node.bootstrap(descriptors.iter().copied().filter(|d| d.id() != own));
                 }
-            }
+            });
             rounds.push(descriptors);
         }
         (nodes, rounds)
     }
 
-    /// How many threads a spec build fans out over: one per core up to eight,
-    /// but only when the cluster is large enough for the O(n²) warm-up to
-    /// dwarf thread-spawn overhead. Parallelism never changes the result —
-    /// node builds and warm-up rounds are data-parallel over disjoint nodes.
-    fn build_threads(node_count: usize) -> usize {
-        if node_count < 256 {
-            return 1;
+    /// Runs `work` over `items` in contiguous chunks and returns each chunk's
+    /// result in order: one chunk per thread, on scoped threads, when the
+    /// cluster is large enough for the O(n²) warm-up to dwarf thread-spawn
+    /// overhead (256 nodes, one thread per core up to eight); one chunk,
+    /// inline, otherwise. Parallelism never changes the result — node builds
+    /// and warm-up rounds are data-parallel over disjoint nodes.
+    fn in_chunks<T: Send, R: Send>(items: &mut [T], work: impl Fn(&mut [T]) -> R + Sync) -> Vec<R> {
+        let threads = if items.len() < 256 {
+            1
+        } else {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+                .min(8)
+        };
+        if threads == 1 {
+            return vec![work(items)];
         }
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(8)
+        let chunk = items.len().div_ceil(threads);
+        let work = &work;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = items
+                .chunks_mut(chunk)
+                .map(|batch| scope.spawn(move || work(batch)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|handle| handle.join().expect("cluster-build worker panicked"))
+                .collect()
+        })
     }
 
     /// Materialises node `index` exactly as a fresh [`Self::build_nodes`]

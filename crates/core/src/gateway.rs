@@ -659,46 +659,6 @@ impl ClientGateway {
         }
     }
 
-    /// Waits for the first reply to `id` (a put acknowledgement, or any
-    /// first reply of a request where one answer suffices). One-ticket
-    /// convenience over the pipelined path.
-    ///
-    /// # Errors
-    ///
-    /// [`GatewayError::Timeout`] if nothing arrives within `timeout`,
-    /// [`GatewayError::Shutdown`] if the reply channel disconnected.
-    pub fn await_reply(
-        &self,
-        id: RequestId,
-        timeout: Duration,
-    ) -> Result<ClientReply, GatewayError> {
-        let ticket = self.register_ticket(id, TicketKind::Put, timeout);
-        match self.await_ticket(ticket, timeout)? {
-            TicketOutcome::Acked(reply) => Ok(reply),
-            outcome => unreachable!("put ticket resolved to {outcome:?}"),
-        }
-    }
-
-    /// Waits for the outcome of get request `id`. Epidemic dissemination
-    /// makes several replicas answer the same read; the call returns as soon
-    /// as one returns the object. "Not found" replies are only trusted once
-    /// the timeout expires without any replica producing the object, in
-    /// which case `Ok(None)` is returned. One-ticket convenience over the
-    /// pipelined path.
-    ///
-    /// # Errors
-    ///
-    /// [`GatewayError::Timeout`] if no reply of any kind arrives within
-    /// `timeout`, [`GatewayError::Shutdown`] on disconnect.
-    pub fn await_get(
-        &self,
-        id: RequestId,
-        timeout: Duration,
-    ) -> Result<Option<StoredObject>, GatewayError> {
-        let ticket = self.register_ticket(id, TicketKind::Get, timeout);
-        self.await_ticket(ticket, timeout).map(object_of)
-    }
-
     /// Collects the replies of Environment-submitted requests for up to
     /// `budget`, returning early once the channel has been silent for the
     /// idle grace. Client-API replies arriving here are routed into their
@@ -778,15 +738,19 @@ mod tests {
     }
 
     #[test]
-    fn await_reply_skips_foreign_requests_and_stashes_env_replies() {
+    fn ticket_await_skips_foreign_requests_and_stashes_env_replies() {
         let (tx, rx) = mpsc::channel();
         let mut gate = ClientGateway::new(rx);
         gate.register_env_client(9);
         let target = RequestId::new(0, 1);
+        let timeout = Duration::from_secs(1);
+        let ticket = gate.register_ticket(target, TicketKind::Put, timeout);
         tx.send((9, ack(RequestId::new(9, 0)))).unwrap(); // env → stash
         tx.send((0, ack(RequestId::new(0, 0)))).unwrap(); // stale → drop
         tx.send((0, ack(target))).unwrap();
-        let got = gate.await_reply(target, Duration::from_secs(1)).unwrap();
+        let Ok(TicketOutcome::Acked(got)) = gate.await_ticket(ticket, timeout) else {
+            panic!("the put ticket must resolve to its ack");
+        };
         assert_eq!(got.request, target);
         // The stashed env reply surfaces in the next drain.
         let drained = gate.drain_effects(Duration::from_millis(50));
@@ -795,20 +759,21 @@ mod tests {
     }
 
     #[test]
-    fn await_get_trusts_misses_only_at_the_deadline() {
+    fn get_ticket_trusts_misses_only_at_the_deadline() {
         let (tx, rx) = mpsc::channel();
         let gate = ClientGateway::new(rx);
+        let get = |id, timeout| {
+            let ticket = gate.register_ticket(id, TicketKind::Get, timeout);
+            gate.await_ticket(ticket, timeout).map(object_of)
+        };
         let id = RequestId::new(0, 4);
         tx.send((0, miss(id))).unwrap();
         // A miss alone resolves to Ok(None) once the timeout expires.
-        assert!(matches!(
-            gate.await_get(id, Duration::from_millis(60)),
-            Ok(None)
-        ));
+        assert!(matches!(get(id, Duration::from_millis(60)), Ok(None)));
         // A hit short-circuits immediately.
         let id = RequestId::new(0, 5);
         tx.send((0, hit(id, 2))).unwrap();
-        let got = gate.await_get(id, Duration::from_secs(1)).unwrap().unwrap();
+        let got = get(id, Duration::from_secs(1)).unwrap().unwrap();
         assert_eq!(got.version, Version::new(2));
     }
 
@@ -823,8 +788,10 @@ mod tests {
         let drained = gate.drain_effects(Duration::from_secs(1));
         assert_eq!(drained.len(), 1);
         drop(tx);
+        let timeout = Duration::from_secs(1);
+        let ticket = gate.register_ticket(RequestId::new(0, 0), TicketKind::Put, timeout);
         assert!(matches!(
-            gate.await_reply(RequestId::new(0, 0), Duration::from_secs(1)),
+            gate.await_ticket(ticket, timeout),
             Err(GatewayError::Shutdown)
         ));
         assert!(GatewayError::Timeout.to_string().contains("timed out"));

@@ -91,7 +91,7 @@ pub use message::{
     PutRequest, ReplyBody, TimerKind,
 };
 pub use node::DataFlasksNode;
-pub use sched::{Inbox, Poll, PushOutcome, Scheduler, SchedulerConfig, StealPolicy};
+pub use sched::{Inbox, Poll, PushOutcome, Scheduler, SchedulerConfig};
 pub use stats::{MessageKind, NodeStats};
 pub use wheel::{DueTimer, TimerWheel, WheelInstant};
 pub use wire::{decode_frame, encode_frame, encode_output, DecodedFrame, WireError};

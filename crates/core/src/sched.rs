@@ -11,18 +11,15 @@
 //! [`Scheduler`]; workers pop ready hosts, absorb up to the run budget,
 //! flush, and re-mark the host if backlog remains.
 //!
-//! # Sharded, work-stealing readiness
+//! # One ready queue
 //!
-//! The scheduler is **sharded per worker**: every host has a home shard
-//! (`slot % workers`), [`Scheduler::mark_ready`] enqueues onto the home
-//! shard's deque, and a worker pops from its own shard first. The hot path —
-//! mark, pop, finish — touches only per-slot atomics and one per-shard lock,
-//! so concurrent workers never convoy behind a single scheduler mutex. An
-//! idle worker **steals from the busiest foreign shard** before parking
-//! ([`StealPolicy::Busiest`]), which keeps the pool busy when readiness is
-//! skewed, and parks on its own shard's condvar otherwise; producers wake the
-//! home worker if it is parked, or any parked worker so the new work can be
-//! stolen immediately.
+//! Ready hosts wait in one FIFO queue behind one lock: any worker takes the
+//! oldest ready host, and a worker with nothing to do parks on the queue's
+//! condvar until a host is enqueued. The hot path stays off that lock where
+//! it can: a host is in the queue at most once (the at-most-once scheduling
+//! discipline below), so [`Scheduler::mark_ready`] on a host that is already
+//! queued or running is a per-slot atomic and nothing else, and an enqueue
+//! only notifies the condvar when a worker is parked on it.
 //!
 //! The at-most-once scheduling discipline (a host is never in the ready
 //! queue twice, and [`Scheduler::finish`] re-queues it only if new inputs
@@ -44,7 +41,7 @@
 //! contract between the dispatch loops, not a hard queue limit.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration as StdDuration;
 
@@ -52,20 +49,7 @@ use std::time::Duration as StdDuration;
 /// flushing, bounding effect-buffer growth under load.
 pub const DEFAULT_RUN_BUDGET: usize = 128;
 
-/// How an idle worker looks for work beyond its own shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StealPolicy {
-    /// Steal from the foreign shard with the most queued hosts (default):
-    /// skewed readiness spreads over the whole pool.
-    #[default]
-    Busiest,
-    /// Never steal: a worker only runs hosts homed on its own shard. Useful
-    /// for experiments isolating the stealing win, and as a strict-affinity
-    /// mode when hosts benefit from worker-local cache residency.
-    Disabled,
-}
-
-/// Scheduling knobs of the worker-pool runtime.
+/// The scheduler's knob: how long a dispatch round may run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SchedulerConfig {
     /// Upper bound on how many pending inputs one dispatch round feeds into
@@ -74,8 +58,6 @@ pub struct SchedulerConfig {
     /// at the cost of latency and effect-buffer growth. `0` means the
     /// default ([`DEFAULT_RUN_BUDGET`]).
     pub run_budget: usize,
-    /// How idle workers look for work on other workers' shards.
-    pub steal: StealPolicy,
 }
 
 impl SchedulerConfig {
@@ -105,14 +87,6 @@ pub enum PushOutcome<T> {
     /// a dead node is still a drop, like the simulator discarding
     /// deliveries to dead nodes.
     Closed(T),
-}
-
-impl<T> PushOutcome<T> {
-    /// Returns `true` if the input was enqueued.
-    #[must_use]
-    pub fn is_delivered(&self) -> bool {
-        matches!(self, Self::Delivered)
-    }
 }
 
 /// A host's mailbox: an MPSC queue with close-on-failure semantics and an
@@ -159,12 +133,6 @@ impl<T> Inbox<T> {
             queue: Mutex::new(InboxState::default()),
             high_water,
         }
-    }
-
-    /// The configured high-water mark (`0` = unbounded).
-    #[must_use]
-    pub fn high_water(&self) -> usize {
-        self.high_water
     }
 
     /// Enqueues one input regardless of the high-water mark. A closed inbox
@@ -256,35 +224,11 @@ pub enum Poll {
     Shutdown,
 }
 
-/// One worker's shard of the readiness queue.
-#[derive(Debug)]
-struct Shard {
-    queue: Mutex<VecDeque<usize>>,
-    /// Wakes this shard's parked worker.
-    available: Condvar,
-    /// Queue depth mirror, readable without the lock: the stealers' busyness
-    /// probe.
-    depth: AtomicUsize,
-    /// Raised by the shard's worker for the parked→notified handshake.
-    parked: AtomicBool,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Self {
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            depth: AtomicUsize::new(0),
-            parked: AtomicBool::new(false),
-        }
-    }
-}
-
 /// Per-host scheduling state (the at-most-once-queued discipline).
 #[derive(Debug)]
 struct SlotState {
-    /// `true` while the slot is queued in a shard *or* being dispatched by a
-    /// worker.
+    /// `true` while the slot is in the ready queue *or* being dispatched by
+    /// a worker.
     scheduled: AtomicBool,
     /// Raised by `mark_ready` on an already-scheduled slot; consumed by
     /// `finish`. This closes the classic lost-wakeup race: a producer that
@@ -293,40 +237,49 @@ struct SlotState {
     repoll: AtomicBool,
 }
 
-/// The sharded, work-stealing readiness queue multiplexing many hosts over a
-/// worker pool.
+/// The ready queue and how many workers wait on it, under one lock.
+#[derive(Debug, Default)]
+struct ReadyQueue {
+    hosts: VecDeque<usize>,
+    /// Workers blocked in [`Scheduler::next_ready`]: an enqueue only pays
+    /// for a condvar notify when someone is there to receive it.
+    parked: usize,
+}
+
+/// The readiness queue multiplexing many hosts over a worker pool.
 ///
-/// Hosts are identified by their slot index and homed on shard
-/// `slot % workers`. [`Scheduler::mark_ready`] enqueues a host at most once
-/// (an atomic-flag guard), so a host with a thousand queued inputs occupies
-/// one queue entry and hosts are served in readiness order — per-shard FIFO
-/// fairness with no duplicate wakeups, and idle workers stealing from the
-/// busiest shard keep the service order close to global FIFO under skew.
+/// Hosts are identified by their slot index. [`Scheduler::mark_ready`]
+/// enqueues a host at most once (an atomic-flag guard), so a host with a
+/// thousand queued inputs occupies one queue entry, and hosts are served in
+/// global readiness order by whichever worker asks first — FIFO fairness
+/// with no duplicate wakeups.
 #[derive(Debug)]
 pub struct Scheduler {
-    shards: Vec<Shard>,
+    ready: Mutex<ReadyQueue>,
+    /// Wakes parked workers.
+    available: Condvar,
     slots: Vec<SlotState>,
-    /// Total queued entries across all shards: the stealers' and parkers'
-    /// lock-free "is there any work at all" probe.
-    ready_total: AtomicUsize,
+    workers: usize,
     shutdown: AtomicBool,
     config: SchedulerConfig,
 }
 
 impl Scheduler {
     /// Creates a scheduler for `slots` hosts served by `workers` workers
-    /// (one shard per worker; `workers` is clamped to at least one).
+    /// (clamped to at least one; it only bounds the worker indices
+    /// [`Self::next_ready`] accepts).
     #[must_use]
     pub fn new(slots: usize, workers: usize, config: SchedulerConfig) -> Self {
         Self {
-            shards: (0..workers.max(1)).map(|_| Shard::new()).collect(),
+            ready: Mutex::new(ReadyQueue::default()),
+            available: Condvar::new(),
             slots: (0..slots)
                 .map(|_| SlotState {
                     scheduled: AtomicBool::new(false),
                     repoll: AtomicBool::new(false),
                 })
                 .collect(),
-            ready_total: AtomicUsize::new(0),
+            workers: workers.max(1),
             shutdown: AtomicBool::new(false),
             config,
         }
@@ -338,22 +291,11 @@ impl Scheduler {
         self.config
     }
 
-    /// Number of shards (= workers) the queue is split over.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard (home worker) a slot is enqueued on.
-    #[must_use]
-    pub fn home_shard(&self, slot: usize) -> usize {
-        slot % self.shards.len()
-    }
-
     /// Marks a host as having pending input. Returns `true` if the host was
-    /// newly enqueued (and a worker was woken); on an already-scheduled host
-    /// it records a repoll instead (consumed by [`Self::finish`]), so an
-    /// input pushed while the host is being dispatched is never stranded.
+    /// newly enqueued (and a parked worker, if any, was woken); on an
+    /// already-scheduled host it records a repoll instead (consumed by
+    /// [`Self::finish`]), so an input pushed while the host is being
+    /// dispatched is never stranded.
     pub fn mark_ready(&self, slot: usize) -> bool {
         if self.shutdown.load(Ordering::SeqCst) || slot >= self.slots.len() {
             return false;
@@ -380,39 +322,46 @@ impl Scheduler {
         }
     }
 
-    /// Pops the next ready host for `worker`, waiting up to `timeout` for
-    /// one: own shard first, then a steal from the busiest foreign shard,
-    /// then park on the own shard's condvar.
+    /// Pops the oldest ready host for `worker`, parking up to `timeout` for
+    /// one.
     ///
     /// # Panics
     ///
-    /// Panics if `worker` is not a valid shard index.
+    /// Panics if `worker` is not below the worker count given to
+    /// [`Self::new`].
     pub fn next_ready(&self, worker: usize, timeout: StdDuration) -> Poll {
-        assert!(worker < self.shards.len(), "worker {worker} has no shard");
+        assert!(worker < self.workers, "worker {worker} out of range");
         let deadline = std::time::Instant::now() + timeout;
+        let mut ready = self.ready.lock().expect("scheduler lock poisoned");
         loop {
             if self.shutdown.load(Ordering::SeqCst) {
                 return Poll::Shutdown;
             }
-            if let Some(slot) = self.pop_local(worker) {
-                return Poll::Ready(slot);
-            }
-            if let Some(slot) = self.try_steal(worker) {
+            if let Some(slot) = ready.hosts.pop_front() {
                 return Poll::Ready(slot);
             }
             let remaining = deadline.saturating_duration_since(std::time::Instant::now());
             if remaining.is_zero() {
                 return Poll::Idle;
             }
-            self.park(worker, remaining);
+            // The queue was checked under the lock the enqueuer takes, and
+            // the wait releases it atomically: an entry pushed after the
+            // check finds `parked` raised and notifies.
+            ready.parked += 1;
+            ready = self
+                .available
+                .wait_timeout(ready, remaining)
+                .expect("scheduler lock poisoned")
+                .0;
+            ready.parked -= 1;
         }
     }
 
-    /// Ends a dispatch round for `slot`. The host is re-queued (at the back
-    /// of its home shard, so other ready hosts run first) if the worker saw
-    /// leftover backlog (`still_pending`) *or* a [`Self::mark_ready`] raced
-    /// the end of the round — the worker's backlog check is a snapshot, and
-    /// the repoll flag is what makes the handoff race-free.
+    /// Ends a dispatch round for `slot`. The host is re-queued (at the back,
+    /// so other ready hosts run first) if the worker saw leftover backlog
+    /// (`still_pending`) *or* a [`Self::mark_ready`] raced the end of the
+    /// round — the worker's backlog check is a snapshot, and the repoll flag
+    /// is what makes the handoff race-free.
     pub fn finish(&self, slot: usize, still_pending: bool) {
         if slot >= self.slots.len() {
             return;
@@ -448,127 +397,20 @@ impl Scheduler {
     /// returns [`Poll::Shutdown`].
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        for shard in &self.shards {
-            let _guard = shard.queue.lock().expect("scheduler shard lock poisoned");
-            shard.available.notify_all();
-        }
+        // Taken so no worker sits between its shutdown check and its wait.
+        let _ready = self.ready.lock().expect("scheduler lock poisoned");
+        self.available.notify_all();
     }
 
-    /// Number of hosts currently queued across all shards (for tests and
-    /// introspection).
-    #[must_use]
-    pub fn queued(&self) -> usize {
-        self.ready_total.load(Ordering::SeqCst)
-    }
-
-    /// Queue depth of one shard (for tests and introspection).
-    #[must_use]
-    pub fn shard_depth(&self, shard: usize) -> usize {
-        self.shards[shard].depth.load(Ordering::SeqCst)
-    }
-
-    /// Appends `slot` to its home shard and wakes a worker that can serve it.
+    /// Appends `slot` to the ready queue and wakes a parked worker, if any.
     fn enqueue(&self, slot: usize) {
-        let home = self.home_shard(slot);
-        let shard = &self.shards[home];
-        {
-            let mut queue = shard.queue.lock().expect("scheduler shard lock poisoned");
-            queue.push_back(slot);
-            shard.depth.store(queue.len(), Ordering::SeqCst);
-            // Raised while the shard lock is still held: the pop that will
-            // consume this entry takes the same lock, so its decrement can
-            // never precede this increment (the counter cannot wrap), and
-            // the total is visible before `wake`'s parked-flag scan — a
-            // worker that parks concurrently re-checks it after raising its
-            // flag, so one side always sees the other (both are SeqCst).
-            self.ready_total.fetch_add(1, Ordering::SeqCst);
+        let mut ready = self.ready.lock().expect("scheduler lock poisoned");
+        ready.hosts.push_back(slot);
+        let wake = ready.parked > 0;
+        drop(ready);
+        if wake {
+            self.available.notify_one();
         }
-        self.wake(home);
-    }
-
-    /// Wakes the home worker if it is parked; otherwise, when stealing is
-    /// enabled, wakes any parked worker so the new work is stolen instead of
-    /// waiting for its busy home worker.
-    fn wake(&self, home: usize) {
-        let target = if self.shards[home].parked.load(Ordering::SeqCst)
-            || self.config.steal == StealPolicy::Disabled
-        {
-            home
-        } else {
-            match self
-                .shards
-                .iter()
-                .position(|shard| shard.parked.load(Ordering::SeqCst))
-            {
-                Some(other) => other,
-                None => return, // every worker is busy; one will poll soon
-            }
-        };
-        let shard = &self.shards[target];
-        // Taking the shard lock serialises with the worker's store-flag→wait
-        // window: the notify cannot land between them.
-        let _guard = shard.queue.lock().expect("scheduler shard lock poisoned");
-        shard.available.notify_one();
-    }
-
-    fn pop_local(&self, worker: usize) -> Option<usize> {
-        self.pop_shard(worker)
-    }
-
-    fn pop_shard(&self, index: usize) -> Option<usize> {
-        let shard = &self.shards[index];
-        if shard.depth.load(Ordering::SeqCst) == 0 {
-            return None;
-        }
-        let mut queue = shard.queue.lock().expect("scheduler shard lock poisoned");
-        let slot = queue.pop_front()?;
-        shard.depth.store(queue.len(), Ordering::SeqCst);
-        // Under the same lock as the matching increment in `enqueue`, so the
-        // total never transiently undercounts (or wraps past zero).
-        self.ready_total.fetch_sub(1, Ordering::SeqCst);
-        Some(slot)
-    }
-
-    /// Steals the oldest entry of the busiest foreign shard, re-probing until
-    /// every candidate reads empty (a probe can race a pop).
-    fn try_steal(&self, thief: usize) -> Option<usize> {
-        if self.config.steal == StealPolicy::Disabled || self.shards.len() == 1 {
-            return None;
-        }
-        for _ in 0..self.shards.len() {
-            let victim = self
-                .shards
-                .iter()
-                .enumerate()
-                .filter(|&(index, shard)| index != thief && shard.depth.load(Ordering::SeqCst) > 0)
-                .max_by_key(|&(_, shard)| shard.depth.load(Ordering::SeqCst))
-                .map(|(index, _)| index)?;
-            if let Some(slot) = self.pop_shard(victim) {
-                return Some(slot);
-            }
-        }
-        None
-    }
-
-    /// Parks `worker` on its shard's condvar for up to `timeout`, unless work
-    /// exists anywhere (re-checked after raising the parked flag, closing the
-    /// race with a concurrent [`Self::enqueue`]).
-    fn park(&self, worker: usize, timeout: StdDuration) {
-        let shard = &self.shards[worker];
-        let queue = shard.queue.lock().expect("scheduler shard lock poisoned");
-        if !queue.is_empty() {
-            return;
-        }
-        shard.parked.store(true, Ordering::SeqCst);
-        if self.ready_total.load(Ordering::SeqCst) > 0 || self.shutdown.load(Ordering::SeqCst) {
-            shard.parked.store(false, Ordering::SeqCst);
-            return;
-        }
-        let (_queue, _result) = shard
-            .available
-            .wait_timeout(queue, timeout)
-            .expect("scheduler shard lock poisoned");
-        shard.parked.store(false, Ordering::SeqCst);
     }
 }
 
@@ -576,6 +418,7 @@ impl Scheduler {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
     use std::time::Duration as StdDuration;
 
@@ -623,12 +466,10 @@ mod tests {
     #[test]
     fn bounded_inbox_saturates_at_the_high_water_mark_without_loss() {
         let inbox = Inbox::bounded(2);
-        assert_eq!(inbox.high_water(), 2);
         assert_eq!(inbox.try_push(1), PushOutcome::Delivered);
         assert_eq!(inbox.try_push(2), PushOutcome::Delivered);
         // The third input is handed back, not dropped.
         assert_eq!(inbox.try_push(3), PushOutcome::Saturated(3));
-        assert!(!PushOutcome::Saturated(3).is_delivered());
         // The forced path ignores the mark (driver injections must land).
         assert!(inbox.push(4).is_ok());
         assert_eq!(inbox.len(), 3);
@@ -717,13 +558,17 @@ mod tests {
         }
     }
 
+    fn queue_len(sched: &Scheduler) -> usize {
+        sched.ready.lock().unwrap().hosts.len()
+    }
+
     #[test]
     fn scheduler_enqueues_each_host_at_most_once() {
         let sched = single(4);
         assert!(sched.mark_ready(2));
         assert!(!sched.mark_ready(2), "double mark must not double-queue");
         assert!(sched.mark_ready(0));
-        assert_eq!(sched.queued(), 2);
+        assert_eq!(queue_len(&sched), 2);
         // FIFO: first-marked host runs first.
         assert_eq!(sched.next_ready(0, TICK), Poll::Ready(2));
         // Marking while dispatched is absorbed by `finish(still_pending)`.
@@ -736,6 +581,35 @@ mod tests {
         assert_eq!(sched.next_ready(0, TICK), Poll::Idle);
         // Out-of-range slots are rejected.
         assert!(!sched.mark_ready(99));
+    }
+
+    #[test]
+    fn hosts_are_served_in_global_fifo_order_across_workers() {
+        // Slots of both parities, marked interleaved: whichever worker asks
+        // gets the oldest ready host, never a later one that some per-worker
+        // partition would have handed it first.
+        let sched = Scheduler::new(4, 2, SchedulerConfig::default());
+        for slot in [1, 0, 3, 2] {
+            assert!(sched.mark_ready(slot));
+        }
+        assert_eq!(sched.next_ready(0, TICK), Poll::Ready(1));
+        assert_eq!(sched.next_ready(1, TICK), Poll::Ready(0));
+        assert_eq!(sched.next_ready(0, TICK), Poll::Ready(3));
+        // A host re-queued by `finish` goes behind the hosts already waiting.
+        sched.finish(1, true);
+        assert_eq!(sched.next_ready(0, TICK), Poll::Ready(2));
+        assert_eq!(sched.next_ready(1, TICK), Poll::Ready(1));
+        for slot in 0..4 {
+            sched.finish(slot, false);
+        }
+        assert_eq!(sched.next_ready(1, TICK), Poll::Idle);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn worker_indices_are_validated() {
+        let sched = Scheduler::new(4, 2, SchedulerConfig::default());
+        let _ = sched.next_ready(2, TICK);
     }
 
     #[test]
@@ -759,14 +633,7 @@ mod tests {
 
     #[test]
     fn finished_hosts_can_be_marked_again() {
-        let sched = Scheduler::new(
-            2,
-            1,
-            SchedulerConfig {
-                run_budget: 7,
-                ..SchedulerConfig::default()
-            },
-        );
+        let sched = Scheduler::new(2, 1, SchedulerConfig { run_budget: 7 });
         assert_eq!(sched.config().effective_run_budget(), 7);
         assert!(sched.mark_ready(1));
         assert_eq!(sched.next_ready(0, TICK), Poll::Ready(1));
@@ -776,12 +643,18 @@ mod tests {
 
     #[test]
     fn shutdown_wakes_waiting_workers() {
-        let sched = Arc::new(single(1));
-        let waiter = Arc::clone(&sched);
-        let handle = std::thread::spawn(move || waiter.next_ready(0, StdDuration::from_secs(30)));
+        let sched = Arc::new(Scheduler::new(1, 2, SchedulerConfig::default()));
+        let waiters: Vec<_> = (0..2)
+            .map(|worker| {
+                let sched = Arc::clone(&sched);
+                std::thread::spawn(move || sched.next_ready(worker, StdDuration::from_secs(30)))
+            })
+            .collect();
         std::thread::sleep(TICK);
         sched.shutdown();
-        assert_eq!(handle.join().unwrap(), Poll::Shutdown);
+        for waiter in waiters {
+            assert_eq!(waiter.join().unwrap(), Poll::Shutdown);
+        }
         assert!(
             !sched.mark_ready(0),
             "a shut-down scheduler accepts no work"
@@ -796,97 +669,23 @@ mod tests {
             DEFAULT_RUN_BUDGET
         );
         assert_eq!(
-            SchedulerConfig {
-                run_budget: 0,
-                ..SchedulerConfig::default()
-            }
-            .effective_run_budget(),
+            SchedulerConfig { run_budget: 0 }.effective_run_budget(),
             DEFAULT_RUN_BUDGET
         );
     }
 
-    // ------------------------------------------------------------------
-    // Sharding and stealing
-    // ------------------------------------------------------------------
-
     #[test]
-    fn slots_route_to_their_home_shard() {
-        let sched = Scheduler::new(8, 4, SchedulerConfig::default());
-        assert_eq!(sched.shard_count(), 4);
-        for slot in 0..8 {
-            assert!(sched.mark_ready(slot));
-        }
-        for shard in 0..4 {
-            assert_eq!(sched.shard_depth(shard), 2, "shard {shard} depth");
-        }
-        // Each worker pops its own slots in FIFO order.
-        assert_eq!(sched.next_ready(1, TICK), Poll::Ready(1));
-        assert_eq!(sched.next_ready(1, TICK), Poll::Ready(5));
-        sched.finish(1, false);
-        sched.finish(5, false);
-    }
-
-    #[test]
-    fn idle_workers_steal_from_the_busiest_shard() {
-        // Four workers; all the work is homed on shard 0.
-        let sched = Scheduler::new(8, 4, SchedulerConfig::default());
-        for slot in [0, 4] {
-            assert!(sched.mark_ready(slot));
-        }
-        // Worker 3 owns no ready slot but steals the oldest of shard 0.
-        assert_eq!(sched.next_ready(3, TICK), Poll::Ready(0));
-        assert_eq!(sched.next_ready(3, TICK), Poll::Ready(4));
-        sched.finish(0, false);
-        sched.finish(4, false);
-        assert_eq!(sched.next_ready(3, TICK), Poll::Idle);
-    }
-
-    #[test]
-    fn stealing_prefers_the_deepest_backlog() {
-        let sched = Scheduler::new(12, 3, SchedulerConfig::default());
-        // Shard 0 gets one entry, shard 1 gets three.
-        assert!(sched.mark_ready(0));
-        for slot in [1, 4, 7] {
-            assert!(sched.mark_ready(slot));
-        }
-        // Worker 2 steals from shard 1 (depth 3) before shard 0 (depth 1).
-        assert_eq!(sched.next_ready(2, TICK), Poll::Ready(1));
-        sched.finish(1, false);
-    }
-
-    #[test]
-    fn disabled_stealing_pins_slots_to_their_home_worker() {
-        let sched = Scheduler::new(
-            4,
-            2,
-            SchedulerConfig {
-                steal: StealPolicy::Disabled,
-                ..SchedulerConfig::default()
-            },
-        );
-        assert!(sched.mark_ready(0)); // homed on shard 0
-        assert_eq!(
-            sched.next_ready(1, TICK),
-            Poll::Idle,
-            "worker 1 must not steal"
-        );
-        assert_eq!(sched.next_ready(0, TICK), Poll::Ready(0));
-        sched.finish(0, false);
-    }
-
-    #[test]
-    fn steal_fairness_spreads_a_skewed_backlog_over_all_workers() {
-        // Everything is homed on worker 0; three stealing workers must end up
-        // serving a comparable share instead of idling.
+    fn a_skewed_backlog_spreads_over_all_workers() {
+        // Every ready host is one a per-worker partition would have given to
+        // worker 0; the other three workers must end up serving a share
+        // instead of idling.
         let workers = 4;
         let slots = 64;
         let sched = Arc::new(Scheduler::new(slots, workers, SchedulerConfig::default()));
         let served: Arc<Vec<AtomicUsize>> =
             Arc::new((0..workers).map(|_| AtomicUsize::new(0)).collect());
-        // Only slots ≡ 0 (mod workers) are used, so every entry lands on
-        // shard 0.
-        let home_slots: Vec<usize> = (0..slots).step_by(workers).collect();
-        for &slot in &home_slots {
+        let skewed: Vec<usize> = (0..slots).step_by(workers).collect();
+        for &slot in &skewed {
             assert!(sched.mark_ready(slot));
         }
         let handles: Vec<_> = (0..workers)
@@ -912,16 +711,13 @@ mod tests {
         }
         let counts: Vec<usize> = served.iter().map(|c| c.load(Ordering::SeqCst)).collect();
         let total: usize = counts.iter().sum();
-        assert_eq!(total, home_slots.len(), "every slot served exactly once");
-        let thieves = counts[1..].iter().sum::<usize>();
-        assert!(
-            thieves > 0,
-            "stealing workers served nothing: counts {counts:?}"
-        );
+        assert_eq!(total, skewed.len(), "every slot served exactly once");
+        let others = counts[1..].iter().sum::<usize>();
+        assert!(others > 0, "workers 1..4 served nothing: counts {counts:?}");
     }
 
     #[test]
-    fn at_most_once_queued_holds_under_concurrent_marks_and_steals() {
+    fn at_most_once_queued_holds_under_concurrent_marks() {
         // Producers hammer mark_ready on a few slots while a worker pool
         // pops, "dispatches" and finishes. A per-slot dispatching flag proves
         // no slot is ever owned by two workers at once, and a final drain
@@ -997,15 +793,14 @@ mod tests {
                 "slot {slot} kept unabsorbed marks"
             );
         }
-        assert_eq!(sched.queued(), 0);
+        assert_eq!(queue_len(&sched), 0);
     }
 
     #[test]
-    fn parked_workers_wake_for_work_on_foreign_shards() {
-        // The park/unpark race: a worker parks with a long timeout; a
-        // producer then marks a slot homed on a *different* (busy) shard. The
-        // parked worker must be woken to steal it — promptly, not after the
-        // park timeout.
+    fn a_parked_worker_wakes_promptly_for_new_work() {
+        // The park/unpark race: worker 1 parks with a long timeout while
+        // worker 0 never polls; a host marked ready must wake worker 1
+        // promptly, not after the park timeout.
         let sched = Arc::new(Scheduler::new(4, 2, SchedulerConfig::default()));
         let waiter = Arc::clone(&sched);
         let handle = std::thread::spawn(move || {
@@ -1014,7 +809,6 @@ mod tests {
             (poll, start.elapsed())
         });
         std::thread::sleep(TICK);
-        // Slot 0 is homed on shard 0, whose worker never polls.
         assert!(sched.mark_ready(0));
         let (poll, waited) = handle.join().unwrap();
         assert_eq!(poll, Poll::Ready(0));

@@ -1,5 +1,5 @@
 //! The worker-pool runtime both transports share: slots, scheduler, timer
-//! wheels, the worker and timer loops, the fault seam, the frame-buffer
+//! wheel, the worker and timer loops, the fault seam, the frame-buffer
 //! arena, the client half and the [`Environment`] surface.
 
 use std::cell::RefCell;
@@ -28,7 +28,7 @@ use crate::arena::BufferArena;
 
 /// Timer-wheel granularity; firing latency is bounded by one tick.
 const WHEEL_TICK: StdDuration = StdDuration::from_millis(5);
-/// Slots of each per-worker timer wheel (tick × slots = one rotation).
+/// Slots of the timer wheel (tick × slots = one rotation).
 const WHEEL_SLOTS: usize = 1024;
 /// Idle buffers the frame arena keeps pooled: `0` keeps every returned
 /// buffer, which is what makes the warm frame path allocation-free.
@@ -99,8 +99,6 @@ pub trait Transport: Sized + Send + Sync + 'static {
 pub struct PoolConfig {
     /// Worker threads; `0` picks `min(available cores, 8)`.
     pub workers: usize,
-    /// Run budget per dispatch round and steal policy.
-    pub sched: SchedulerConfig,
     /// Mailbox high-water mark; `0` = unbounded.
     pub mailbox_capacity: usize,
 }
@@ -149,10 +147,9 @@ pub(crate) enum Delivery {
 pub struct Shared<T> {
     pub(crate) slots: Vec<NodeSlot>,
     pub(crate) scheduler: Scheduler,
-    /// One timer wheel per worker; node `i` is armed on wheel
-    /// `i % workers` — the same home mapping as the scheduler shards, so
-    /// re-arms of concurrent dispatch rounds do not convoy on one lock.
-    wheels: Vec<Mutex<TimerWheel<Instant>>>,
+    /// Every node's protocol timers: re-armed by the workers, advanced by
+    /// the timer thread.
+    wheel: Mutex<TimerWheel<Instant>>,
     client_inbox: Sender<(ClientId, ClientReply)>,
     epoch: Instant,
     node_config: NodeConfig,
@@ -180,14 +177,10 @@ impl<T: Transport> Shared<T> {
         SimTime::from_millis(self.epoch.elapsed().as_millis() as u64)
     }
 
-    fn home_wheel(&self, slot: usize) -> &Mutex<TimerWheel<Instant>> {
-        &self.wheels[slot % self.wheels.len()]
-    }
-
     /// Routes one effect of `from`'s dispatch round: timer re-arms to the
-    /// emitting node's home wheel, replies to the client inbox, transport
-    /// units to [`Self::send_unit`]. Returns a batch's spent vector, for the
-    /// worker to hand back to its dispatch scratch's pool.
+    /// wheel, replies to the client inbox, transport units to
+    /// [`Self::send_unit`]. Returns a batch's spent vector, for the worker to
+    /// hand back to its dispatch scratch's pool.
     fn route(
         &self,
         from: usize,
@@ -198,7 +191,7 @@ impl<T: Transport> Shared<T> {
         match output {
             Output::Timer { kind, after } => {
                 let deadline = Instant::now() + to_std(after);
-                self.home_wheel(from).lock().arm(from, kind, deadline);
+                self.wheel.lock().arm(from, kind, deadline);
                 None
             }
             Output::Reply { client, reply } => {
@@ -350,8 +343,8 @@ pub struct SpawnTimings {
     /// across cores — plus wrapping them into host slots) and setting up
     /// the transport.
     pub build: std::time::Duration,
-    /// Seeding the first round of every protocol timer on the per-worker
-    /// wheels and starting the threads.
+    /// Seeding the first round of every protocol timer on the wheel and
+    /// starting the threads.
     pub arm: std::time::Duration,
 }
 
@@ -439,9 +432,7 @@ impl<T: Transport> Cluster<T> {
                 .unwrap_or(1)
                 .min(8)
         };
-        let mut wheels: Vec<TimerWheel<Instant>> = (0..workers)
-            .map(|_| TimerWheel::new(WHEEL_SLOTS, WHEEL_TICK, epoch))
-            .collect();
+        let mut wheel = TimerWheel::new(WHEEL_SLOTS, WHEEL_TICK, epoch);
         // Seed the first round of each protocol timer with a deterministic
         // per-node stagger so periodic work spreads over the period instead
         // of arriving as one thundering herd.
@@ -451,16 +442,16 @@ impl<T: Transport> Cluster<T> {
                 let period = kind.period(&spec.node_config).as_millis();
                 let stagger = period * index as u64 / count;
                 let deadline = epoch + StdDuration::from_millis(period.saturating_add(stagger));
-                wheels[index % workers].arm(index, kind, deadline);
+                wheel.arm(index, kind, deadline);
             }
         }
         let (client_tx, client_rx) = mpsc::channel();
         let faults = Arc::new(FaultPlan::new());
         faults.set_seed(spec.seed ^ FAULT_SEED);
         let shared = Arc::new(Shared {
-            scheduler: Scheduler::new(slots.len(), workers, pool.sched),
+            scheduler: Scheduler::new(slots.len(), workers, SchedulerConfig::default()),
             slots,
-            wheels: wheels.into_iter().map(Mutex::new).collect(),
+            wheel: Mutex::new(wheel),
             client_inbox: client_tx,
             epoch,
             node_config: spec.node_config,
@@ -705,7 +696,7 @@ impl<T: Transport> Environment for Cluster<T> {
         slot.failed.store(false, Ordering::SeqCst);
         // A fresh deadline table: one full period from the restart instant,
         // exactly like the other backends.
-        let mut wheel = self.shared.home_wheel(index).lock();
+        let mut wheel = self.shared.wheel.lock();
         let now = Instant::now();
         for kind in TimerKind::ALL {
             wheel.arm(
@@ -721,14 +712,13 @@ impl<T: Transport> Environment for Cluster<T> {
     }
 }
 
-/// The worker loop: retry held frames, pop a ready host (own shard first,
-/// stealing from the busiest foreign shard when idle), lend it the worker's
-/// dispatch scratch, absorb up to the run budget from its mailbox, flush
-/// once (one frame per destination, as the scratch's buffer grouped the
-/// round's sends), take the scratch back with the spent batch vectors in
-/// its pool, and re-queue the host if backlog remains. The scratch is the
-/// worker's, not the node's: every round starts on memory the worker's
-/// previous round left in cache.
+/// The worker loop: retry held frames, pop the oldest ready host, lend it
+/// the worker's dispatch scratch, absorb up to the run budget from its
+/// mailbox, flush once (one frame per destination, as the scratch's buffer
+/// grouped the round's sends), take the scratch back with the spent batch
+/// vectors in its pool, and re-queue the host if backlog remains. The
+/// scratch is the worker's, not the node's: every round starts on memory
+/// the worker's previous round left in cache.
 fn worker_loop<T: Transport>(shared: &Shared<T>, worker: usize) {
     let run_budget = shared.scheduler.config().effective_run_budget();
     let mut round: Vec<Input> = Vec::with_capacity(run_budget);
@@ -804,18 +794,14 @@ fn worker_loop<T: Transport>(shared: &Shared<T>, worker: usize) {
     }
 }
 
-/// The timer thread: advances every worker's wheel once per tick and mails
-/// due firings to their hosts. The wheels are sharded per worker so this
-/// thread's brief per-wheel locks never convoy with the whole pool at once.
+/// The timer thread: advances the wheel once per tick and mails due
+/// firings to their hosts.
 fn timer_loop<T: Transport>(shared: &Shared<T>) {
     let mut due: Vec<DueTimer<Instant>> = Vec::new();
     while !shared.stopping.load(Ordering::SeqCst) {
         std::thread::sleep(WHEEL_TICK);
         due.clear();
-        let now = Instant::now();
-        for wheel in &shared.wheels {
-            wheel.lock().advance(now, &mut due);
-        }
+        shared.wheel.lock().advance(Instant::now(), &mut due);
         for timer in &due {
             shared.mail(timer.host, Input::Timer { kind: timer.kind });
         }

@@ -5,8 +5,6 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use dataflasks_core::SchedulerConfig;
-
 use crate::cluster::{Delivery, Input, PoolConfig, Shared, Transport};
 
 /// Knobs of the in-process cluster ([`AsyncCluster`](crate::AsyncCluster)).
@@ -15,8 +13,6 @@ pub struct AsyncClusterConfig {
     /// Worker threads multiplexing the node hosts. `0` (the default) picks
     /// `min(available cores, 8)`.
     pub workers: usize,
-    /// Shared scheduling knobs (run budget per dispatch round, steal policy).
-    pub sched: SchedulerConfig,
     /// High-water mark of each node's mailbox (`0` = unbounded). Only
     /// worker-to-worker protocol frames honour the mark — a saturated
     /// destination makes the sending worker hold the frame (preserving
@@ -42,7 +38,6 @@ impl Transport for InProcess {
     fn pool(config: &AsyncClusterConfig) -> PoolConfig {
         PoolConfig {
             workers: config.workers,
-            sched: config.sched,
             mailbox_capacity: config.mailbox_capacity,
         }
     }

@@ -3,8 +3,8 @@
 //!
 //! [`Cluster<T>`](Cluster) hosts thousands of nodes on a few threads: every
 //! node lives in a `NodeHost` slot with its own mailbox, a small worker pool
-//! (default `min(cores, 8)`) pops ready nodes off the sharded work-stealing
-//! `core::sched` scheduler, and per-worker `core::wheel` timer wheels drive
+//! (default `min(cores, 8)`) pops ready nodes off the one FIFO ready queue
+//! of the `core::sched` scheduler, and one `core::wheel` timer wheel drives
 //! the periodic protocol timers. Every hop between nodes is a
 //! length-prefixed `core::wire` frame — one `SendBatch` = one frame — in a
 //! pooled buffer that the worker dispatching it checks whole, decodes only
@@ -393,7 +393,6 @@ mod tests {
         let config = AsyncClusterConfig {
             workers: 4,
             mailbox_capacity: 1,
-            ..AsyncClusterConfig::default()
         };
         backpressure_without_loss::<InProcess>(8, config);
     }
@@ -906,7 +905,6 @@ mod tests {
         let in_process = AsyncClusterConfig {
             workers: 1,
             mailbox_capacity: 4,
-            ..AsyncClusterConfig::default()
         };
         crash_cycles_return_every_buffer::<InProcess>(in_process, |_| 0);
         let socket = SocketClusterConfig {

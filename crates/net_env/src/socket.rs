@@ -11,8 +11,6 @@ use std::time::{Duration as StdDuration, Instant};
 
 use parking_lot::Mutex;
 
-use dataflasks_core::SchedulerConfig;
-
 use crate::cluster::{Cluster, Delivery, Input, PoolConfig, Shared, Transport};
 use crate::outbound::{OutboundQueue, MAX_WRITE_VECS};
 use crate::reactor::{self, Interest};
@@ -29,8 +27,6 @@ pub struct SocketClusterConfig {
     /// Nodes and pool connections are sharded over them by slot index. `0`
     /// (the default) picks one.
     pub io_threads: usize,
-    /// Shared scheduling knobs (run budget per dispatch round, steal policy).
-    pub sched: SchedulerConfig,
     /// High-water mark of each node's mailbox (`0` = unbounded). A saturated
     /// node's connections stop being read — the bytes wait in the kernel
     /// socket buffer, so backpressure propagates to the sender's transport.
@@ -205,7 +201,6 @@ impl Transport for Socket {
     fn pool(config: &SocketClusterConfig) -> PoolConfig {
         PoolConfig {
             workers: config.workers,
-            sched: config.sched,
             mailbox_capacity: config.mailbox_capacity,
         }
     }

@@ -698,56 +698,19 @@ impl Simulation {
         let mut due = mem::take(&mut self.timer_scratch);
         due.clear();
         let fired = self.wheel.advance_next(limit, &mut due);
-        if fired {
-            let Self {
-                nodes,
-                queue,
-                rng,
-                config,
-                faults,
-                faulty,
-                messages_dropped,
-                wheel,
-                timer_fires,
-                events_dispatched,
-                now,
-                dispatch_scratch,
-                ..
-            } = self;
-            for timer in &due {
-                let Some(entry) = nodes.get_mut(timer.host) else {
-                    continue;
-                };
-                // Dead nodes cancel their deadlines, so this only guards
-                // against a crash handled earlier in this same batch.
-                if !entry.alive {
-                    continue;
-                }
-                *now = (*now).max(timer.at);
-                *events_dispatched += 1;
-                *timer_fires += 1;
-                let mut injected = InjectedCounters::default();
-                let mut routing = Routing {
-                    queue: &mut *queue,
-                    rng: &mut *rng,
-                    network: &config.network,
-                    faults,
-                    faulty,
-                    injected: &mut injected,
-                    messages_dropped: &mut *messages_dropped,
-                    wheel: &mut *wheel,
-                    now: *now,
-                };
-                let node = NodeId::new(timer.host as u64);
-                entry.host.swap_scratch(dispatch_scratch);
-                entry
-                    .host
-                    .fire_timer(timer.kind, *now, |output| routing.route(node, output));
-                entry.host.swap_scratch(dispatch_scratch);
-                if !injected.is_empty() {
-                    entry.host.node_mut().record_injected_faults(&injected);
-                }
+        for timer in &due {
+            // Dead nodes cancel their deadlines, so this only guards against
+            // a crash handled earlier in this same batch.
+            if !self.nodes.get(timer.host).is_some_and(|entry| entry.alive) {
+                continue;
             }
+            self.now = self.now.max(timer.at);
+            self.events_dispatched += 1;
+            self.timer_fires += 1;
+            let node = NodeId::new(timer.host as u64);
+            self.dispatch_round(node, |host, now, routing| {
+                host.fire_timer(timer.kind, now, |output| routing.route(node, output));
+            });
         }
         self.timer_scratch = due;
         fired
@@ -781,47 +744,12 @@ impl Simulation {
                 if !self.wheel.is_current(index, kind, generation) {
                     return;
                 }
-                let now = self.now;
-                let Self {
-                    nodes,
-                    queue,
-                    rng,
-                    config,
-                    faults,
-                    faulty,
-                    messages_dropped,
-                    wheel,
-                    timer_fires,
-                    dispatch_scratch,
-                    ..
-                } = self;
-                let Some(entry) = nodes.get_mut(index) else {
-                    return;
-                };
                 // A dead node's timer is simply not re-armed (the re-arm is
                 // an effect of handling the timer, which dead nodes never do).
-                if entry.alive {
-                    *timer_fires += 1;
-                    let mut injected = InjectedCounters::default();
-                    let mut routing = Routing {
-                        queue,
-                        rng,
-                        network: &config.network,
-                        faults,
-                        faulty,
-                        injected: &mut injected,
-                        messages_dropped,
-                        wheel,
-                        now,
-                    };
-                    entry.host.swap_scratch(dispatch_scratch);
-                    entry
-                        .host
-                        .fire_timer(kind, now, |output| routing.route(node, output));
-                    entry.host.swap_scratch(dispatch_scratch);
-                    if !injected.is_empty() {
-                        entry.host.node_mut().record_injected_faults(&injected);
-                    }
+                if self.dispatch_round(node, |host, now, routing| {
+                    host.fire_timer(kind, now, |output| routing.route(node, output));
+                }) {
+                    self.timer_fires += 1;
                 }
             }
             EventPayload::ClientSubmit {
@@ -932,46 +860,11 @@ impl Simulation {
     where
         I: ExactSizeIterator<Item = Message>,
     {
-        let now = self.now;
-        let Self {
-            nodes,
-            queue,
-            rng,
-            config,
-            faults,
-            faulty,
-            messages_dropped,
-            messages_delivered,
-            wheel,
-            dispatch_scratch,
-            ..
-        } = self;
-        let Some(entry) = nodes.get_mut(to.as_u64() as usize) else {
-            return;
-        };
-        if !entry.alive {
-            return;
-        }
-        *messages_delivered += messages.len() as u64;
-        let mut injected = InjectedCounters::default();
-        let mut routing = Routing {
-            queue,
-            rng,
-            network: &config.network,
-            faults,
-            faulty,
-            injected: &mut injected,
-            messages_dropped,
-            wheel,
-            now,
-        };
-        entry.host.swap_scratch(dispatch_scratch);
-        entry
-            .host
-            .deliver_batch(from, messages, now, |output| routing.route(to, output));
-        entry.host.swap_scratch(dispatch_scratch);
-        if !injected.is_empty() {
-            entry.host.node_mut().record_injected_faults(&injected);
+        let count = messages.len() as u64;
+        if self.dispatch_round(to, |host, now, routing| {
+            host.deliver_batch(from, messages, now, |output| routing.route(to, output));
+        }) {
+            self.messages_delivered += count;
         }
     }
 
@@ -984,7 +877,23 @@ impl Simulation {
         // The contact node handles the request at submission time; the
         // client-perceived latency still includes the network because replies
         // travel through the queue.
-        let now = self.now;
+        self.dispatch_round(contact, |host, now, routing| {
+            host.submit_client_request(client, request, now, |output| {
+                routing.route(contact, output);
+            });
+        });
+    }
+
+    /// One dispatch round of live node `node` at the current instant: lends
+    /// it the event loop's dispatch scratch, lets `round` feed it with the
+    /// effects routed through the simulated network, and folds the round's
+    /// injected-fault tally into the node's stats. Returns `false`, having
+    /// run nothing, if the node is unknown or dead.
+    fn dispatch_round(
+        &mut self,
+        node: NodeId,
+        round: impl FnOnce(&mut NodeHost<DefaultStore>, SimTime, &mut Routing<'_>),
+    ) -> bool {
         let Self {
             nodes,
             queue,
@@ -995,14 +904,15 @@ impl Simulation {
             messages_dropped,
             wheel,
             dispatch_scratch,
+            now,
             ..
         } = self;
-        let Some(entry) = nodes.get_mut(contact.as_u64() as usize) else {
-            return;
+        let Some(entry) = nodes
+            .get_mut(node.as_u64() as usize)
+            .filter(|entry| entry.alive)
+        else {
+            return false;
         };
-        if !entry.alive {
-            return;
-        }
         let mut injected = InjectedCounters::default();
         let mut routing = Routing {
             queue,
@@ -1013,18 +923,15 @@ impl Simulation {
             injected: &mut injected,
             messages_dropped,
             wheel,
-            now,
+            now: *now,
         };
         entry.host.swap_scratch(dispatch_scratch);
-        entry
-            .host
-            .submit_client_request(client, request, now, |output| {
-                routing.route(contact, output)
-            });
+        round(&mut entry.host, *now, &mut routing);
         entry.host.swap_scratch(dispatch_scratch);
         if !injected.is_empty() {
             entry.host.node_mut().record_injected_faults(&injected);
         }
+        true
     }
 
     fn expire_clients(&mut self) {

@@ -52,23 +52,51 @@ fn scripted_run(seed: u64) -> (String, String) {
     )
 }
 
-#[test]
-fn same_seed_reproduces_the_run_byte_for_byte() {
-    let (ops_a, stats_a) = scripted_run(0xF163);
-    let (ops_b, stats_b) = scripted_run(0xF163);
+/// Twenty gets of keys nobody wrote, all expiring in the same `run_until`:
+/// the client library reports them together, so the log's order is only
+/// reproducible if expiry does not follow hash-map iteration order.
+fn expiring_gets_run(seed: u64) -> (String, String) {
+    let nodes = 16;
+    let mut sim = Simulation::new(SimConfig {
+        seed,
+        ..SimConfig::default()
+    });
+    sim.spawn_cluster(nodes, NodeConfig::for_system_size(nodes, 2));
+    let client = sim.add_client();
+    for i in 0..20 {
+        sim.submit_get(client, Key::from_user_key(&format!("absent-{i}")), None);
+    }
+    sim.run_for(Duration::from_secs(40));
+    (
+        format!("{:?}", sim.completed_operations()),
+        format!("{:?}", sim.node_stats()),
+    )
+}
+
+/// Runs a scenario twice and asserts both histories match and are
+/// non-trivial.
+fn assert_reproducible(scenario: &str, run: impl Fn() -> (String, String)) {
+    let (ops_a, stats_a) = run();
+    let (ops_b, stats_b) = run();
     assert!(
         ops_a == ops_b,
-        "completed-operation logs diverged between two runs of the same seed"
+        "{scenario}: completed-operation logs diverged between two runs of the same seed"
     );
     assert!(
         stats_a == stats_b,
-        "node statistics diverged between two runs of the same seed"
+        "{scenario}: node statistics diverged between two runs of the same seed"
     );
     // The log must be non-trivial for the comparison to mean anything.
     assert!(
         ops_a.len() > 100,
-        "suspiciously empty operation log: {ops_a}"
+        "{scenario}: suspiciously empty operation log: {ops_a}"
     );
+}
+
+#[test]
+fn same_seed_reproduces_the_run_byte_for_byte() {
+    assert_reproducible("scripted churn", || scripted_run(0xF163));
+    assert_reproducible("expiring gets", || expiring_gets_run(7));
 }
 
 #[test]

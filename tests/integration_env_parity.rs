@@ -49,16 +49,16 @@ const CLIENT: u64 = 42;
 const PIPELINE_CLIENT: u64 = 43;
 
 /// The async backend is exercised in its most concurrent configuration: four
-/// workers over a handful of nodes (so stealing and cross-worker routing are
-/// constant), with tiny bounded mailboxes (so frame delivery saturates and
-/// the deferred-delivery path runs). Parity must hold regardless.
+/// workers over a handful of nodes (so a node's consecutive rounds land on
+/// different workers and cross-worker routing is constant), with tiny
+/// bounded mailboxes (so frame delivery saturates and the deferred-delivery
+/// path runs). Parity must hold regardless.
 fn async_cluster_under_stress(spec: &ClusterSpec) -> AsyncCluster {
     AsyncCluster::start_spec_with(
         spec,
         AsyncClusterConfig {
             workers: 4,
             mailbox_capacity: 2,
-            ..AsyncClusterConfig::default()
         },
     )
 }
@@ -375,7 +375,7 @@ fn all_four_environments_produce_identical_outcomes_and_stats() {
         .map(|id| (id, *sim.node(id).stats()))
         .collect();
 
-    // --- Event-driven runtime (framed transport, stealing, backpressure) ---
+    // --- Event-driven runtime (framed transport, 4 workers, backpressure) ---
     let mut async_cluster = async_cluster_under_stress(&spec);
     assert_eq!(async_cluster.worker_count(), 4);
     // Wall-clock budget: in-process hops take microseconds; the drain exits
@@ -1034,7 +1034,8 @@ proptest! {
             .collect();
 
         // --- Event-driven runtime (framed transport, 4 workers, bounded
-        // mailboxes: stealing and saturation must not break parity) --------
+        // mailboxes: cross-worker rounds and saturation must not break
+        // parity) ----------------------------------------------------------
         let mut async_cluster = async_cluster_under_stress(&spec);
         // In-process hops take microseconds; a short idle grace keeps the
         // many drains of a fuzzing run fast without losing replies.
