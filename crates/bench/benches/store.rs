@@ -56,33 +56,6 @@ fn bench_memory_store_put_get(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_log_store_put(c: &mut Criterion) {
-    let mut group = c.benchmark_group("store/log");
-    group.sample_size(20);
-    group.warm_up_time(std::time::Duration::from_secs(1));
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.bench_function("put_128B", |b| {
-        let dir = std::env::temp_dir().join(format!("dataflasks-bench-log-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let mut store = LogStore::open(&dir).unwrap();
-        let value = Value::filled(128, 0x5A);
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            store
-                .put(&StoredObject::new(
-                    Key::from_raw(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                    Version::new(1),
-                    value.clone(),
-                ))
-                .unwrap()
-        });
-        drop(store);
-        std::fs::remove_dir_all(&dir).ok();
-    });
-    group.finish();
-}
-
 fn bench_anti_entropy_digest(c: &mut Criterion) {
     let mut group = c.benchmark_group("store/anti_entropy");
     group.warm_up_time(std::time::Duration::from_secs(1));
@@ -277,7 +250,6 @@ fn bench_batched_delivery(c: &mut Criterion) {
 criterion_group!(
     store,
     bench_memory_store_put_get,
-    bench_log_store_put,
     bench_anti_entropy_digest,
     bench_sharded_vs_unsharded,
     bench_batched_delivery

@@ -160,12 +160,6 @@ impl ClientLibrary {
         self.stats
     }
 
-    /// Number of operations still waiting for their first reply.
-    #[must_use]
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Replaces the contact nodes (e.g. after the live membership changed).
     pub fn set_contacts(&mut self, contacts: Vec<NodeId>) {
         self.contacts = contacts;
@@ -297,9 +291,11 @@ impl ClientLibrary {
         let mut expired = Vec::with_capacity(expired_ids.len());
         for id in expired_ids {
             let op = self.pending.remove(&id).expect("id was just collected");
+            let latency = now.saturating_since(op.issued_at);
             let outcome = if op.saw_miss && !op.is_put {
                 self.stats.gets_missed += 1;
                 self.stats.completed += 1;
+                self.stats.latency_sum_ms += latency.as_millis();
                 OperationOutcome::GetMiss
             } else {
                 self.stats.timeouts += 1;
@@ -309,7 +305,7 @@ impl ClientLibrary {
                 request: id,
                 key: op.key,
                 outcome,
-                latency: now.saturating_since(op.issued_at),
+                latency,
             });
         }
         expired
@@ -362,7 +358,7 @@ mod tests {
             .unwrap();
         assert_ne!(a.request.id(), b.request.id());
         assert_eq!(a.request.id().client(), 42);
-        assert_eq!(c.pending_count(), 2);
+        assert_eq!(c.pending.len(), 2);
         assert_eq!(c.stats().puts_issued, 1);
         assert_eq!(c.stats().gets_issued, 1);
     }
@@ -380,7 +376,7 @@ mod tests {
                 &mut rng
             )
             .is_none());
-        assert_eq!(c.pending_count(), 0);
+        assert_eq!(c.pending.len(), 0);
     }
 
     #[test]
@@ -410,7 +406,7 @@ mod tests {
         assert_eq!(stats.duplicate_replies, 2);
         assert_eq!(stats.completed, 1);
         assert!((stats.mean_latency_ms() - 25.0).abs() < f64::EPSILON);
-        assert_eq!(c.pending_count(), 0);
+        assert_eq!(c.pending.len(), 0);
     }
 
     #[test]
@@ -449,7 +445,7 @@ mod tests {
         // A "not found" reply does not complete the operation immediately:
         // another replica may still answer with the object.
         assert!(c.on_reply(&miss_reply, SimTime::from_millis(6)).is_none());
-        assert_eq!(c.pending_count(), 1);
+        assert_eq!(c.pending.len(), 1);
         // When the timeout fires the miss is reported (not a timeout).
         let expired = c.expire_pending(SimTime::from_millis(5_000), Duration::from_millis(1_000));
         assert_eq!(expired.len(), 1);
@@ -457,6 +453,33 @@ mod tests {
         assert_eq!(c.stats().gets_hit, 1);
         assert_eq!(c.stats().gets_missed, 1);
         assert_eq!(c.stats().timeouts, 0);
+    }
+
+    #[test]
+    fn a_reported_miss_counts_in_the_mean_latency() {
+        let mut c = client(1);
+        let mut rng = StdRng::seed_from_u64(0);
+        let key = Key::from_user_key("absent");
+        let issued = c.get(key, None, SimTime::ZERO, &mut rng).unwrap();
+        let miss = ClientReply {
+            request: issued.request.id(),
+            responder: NodeId::new(0),
+            responder_slice: None,
+            body: ReplyBody::GetMiss { key },
+        };
+        assert!(c.on_reply(&miss, SimTime::from_millis(3)).is_none());
+        let expired = c.expire_pending(SimTime::from_millis(5_000), Duration::from_millis(1_000));
+        assert_eq!(
+            expired,
+            vec![CompletedOperation {
+                request: issued.request.id(),
+                key,
+                outcome: OperationOutcome::GetMiss,
+                latency: Duration::from_millis(5_000),
+            }]
+        );
+        assert_eq!(c.stats().completed, 1);
+        assert_eq!(c.stats().mean_latency_ms(), 5_000.0);
     }
 
     #[test]
@@ -521,7 +544,7 @@ mod tests {
         assert_eq!(expired[0].request, issued.request.id());
         assert_eq!(expired[0].outcome, OperationOutcome::TimedOut);
         assert_eq!(c.stats().timeouts, 1);
-        assert_eq!(c.pending_count(), 0);
+        assert_eq!(c.pending.len(), 0);
         // A late reply after expiry is counted as a duplicate.
         assert!(c
             .on_reply(&ack(issued.request.id(), 1), SimTime::from_millis(700))

@@ -433,12 +433,12 @@ impl<S: DataStore> NodeHost<S> {
         match entry {
             FrameEntry::Put(header) => {
                 if self.node.admit_request(header.id) {
-                    self.node.handle_admitted_put(header.materialise(frame), fx);
+                    self.node.disseminate(header.materialise(frame), false, fx);
                 }
             }
             FrameEntry::Get(request) => {
                 if self.node.admit_request(request.id) {
-                    self.node.handle_admitted_get(request, fx);
+                    self.node.disseminate(request, false, fx);
                 }
             }
             FrameEntry::Other(message) => self.node.handle_message(from, message, now, fx),

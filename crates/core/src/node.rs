@@ -268,12 +268,12 @@ impl<S: DataStore> DataFlasksNode<S> {
             // still hold it.
             Message::Put(request) => {
                 if self.admit_request(request.id) {
-                    self.handle_admitted_put(Arc::unwrap_or_clone(request), fx);
+                    self.disseminate(Arc::unwrap_or_clone(request), false, fx);
                 }
             }
             Message::Get(request) => {
                 if self.admit_request(request.id) {
-                    self.handle_admitted_get(Arc::unwrap_or_clone(request), fx);
+                    self.disseminate(Arc::unwrap_or_clone(request), false, fx);
                 }
             }
             background => self.handle_background(from, background, fx),
@@ -348,7 +348,7 @@ impl<S: DataStore> DataFlasksNode<S> {
                     phase: DisseminationPhase::Global,
                     ttl: self.global_ttl(),
                 };
-                self.handle_put_locally_and_forward(request, true, fx);
+                self.disseminate(request, true, fx);
             }
             ClientRequest::Get { id, key, version } => {
                 let request = GetRequest {
@@ -359,7 +359,7 @@ impl<S: DataStore> DataFlasksNode<S> {
                     phase: DisseminationPhase::Global,
                     ttl: self.global_ttl(),
                 };
-                self.handle_get_locally_and_forward(request, true, fx);
+                self.disseminate(request, true, fx);
             }
         }
     }
@@ -467,146 +467,69 @@ impl<S: DataStore> DataFlasksNode<S> {
         false
     }
 
-    /// Handles a put that [`Self::admit_request`] admitted.
-    pub(crate) fn handle_admitted_put(&mut self, request: PutRequest, fx: &mut dyn Effects) {
-        self.handle_put_locally_and_forward(request, false, fx);
-    }
-
-    /// Handles a get that [`Self::admit_request`] admitted.
-    pub(crate) fn handle_admitted_get(&mut self, request: GetRequest, fx: &mut dyn Effects) {
-        self.handle_get_locally_and_forward(request, false, fx);
-    }
-
-    fn handle_put_locally_and_forward(
+    /// One dissemination step of a request (paper §IV-B), the same for puts
+    /// and gets. A replica of the key's slice acts on the request locally
+    /// ([`Disseminated::serve`]), replies when there is an answer, and
+    /// switches to — or continues — the TTL-bounded intra-slice flood. Any
+    /// other node keeps the global epidemic search going while the TTL
+    /// lasts; a request that can go no further is counted expired.
+    ///
+    /// `from_client` marks a request this node received as contact node
+    /// ([`Self::handle_client_request`]); otherwise [`Self::admit_request`]
+    /// admitted it. The order — local action, reply, target sampling,
+    /// sends — fixes the node's RNG draws and emitted effects.
+    pub(crate) fn disseminate<R: Disseminated>(
         &mut self,
-        mut request: PutRequest,
+        mut request: R,
         from_client: bool,
         fx: &mut dyn Effects,
     ) {
-        let target_slice = self.partition.slice_of(request.object.key);
+        let target_slice = self.partition.slice_of(request.key());
+        let (phase, ttl) = request.route();
+        let mut peers = mem::take(&mut self.peer_scratch);
         if self.current_slice == Some(target_slice) {
-            // This node is a responsible replica: store and acknowledge. The
-            // object is passed by reference — the store clones only what it
-            // retains (one `Arc` bump on the value), and the request keeps
-            // its object for the intra-slice fan-out below.
-            let version = request.object.version;
-            let key = request.object.key;
-            match self.store.put(&request.object) {
-                Ok(outcome) => {
-                    if outcome.changed() {
-                        self.stats.puts_stored += 1;
-                    } else {
-                        self.stats.puts_ignored += 1;
-                    }
-                    self.reply_to(
-                        fx,
-                        request.client,
-                        request.id,
-                        ReplyBody::PutAck { key, version },
-                    );
-                }
-                Err(_) => {
-                    // A full replica cannot store more data; it still keeps
-                    // forwarding so other replicas receive the object.
-                    self.stats.puts_ignored += 1;
-                }
+            // A responsible replica: act, then switch to (or continue) the
+            // intra-slice flood.
+            if let Some(body) = request.serve(&mut self.store, &mut self.stats) {
+                let (client, id) = request.origin();
+                self.reply_to(fx, client, id, body);
             }
-            // Switch to (or continue) intra-slice dissemination.
-            let ttl = if request.phase == DisseminationPhase::Global {
+            let ttl = if phase == DisseminationPhase::Global {
                 self.config.dissemination.intra_ttl
             } else {
-                request.ttl.saturating_sub(1)
+                ttl.saturating_sub(1)
             };
             if ttl > 0 {
-                request.phase = DisseminationPhase::IntraSlice;
-                request.ttl = ttl;
-                let mut peers = mem::take(&mut self.peer_scratch);
+                request.set_route(DisseminationPhase::IntraSlice, ttl);
                 self.intra_slice_targets(target_slice, &mut peers);
-                self.fan_out(fx, &peers, request, Message::Put);
-                self.peer_scratch = peers;
+                self.fan_out(fx, &peers, request);
             }
-        } else if request.phase == DisseminationPhase::Global && request.ttl > 0 {
+        } else if phase == DisseminationPhase::Global && ttl > 0 {
             // Not responsible: keep the epidemic search going while the TTL
             // allows it.
-            request.ttl -= 1;
+            request.set_route(DisseminationPhase::Global, ttl - 1);
             let fanout = self.config.dissemination.global_fanout;
-            let mut peers = mem::take(&mut self.peer_scratch);
             self.global_targets(fanout, target_slice, &mut peers);
             if peers.is_empty() && from_client {
                 // An isolated contact node cannot make progress.
                 self.stats.requests_expired += 1;
             }
-            self.fan_out(fx, &peers, request, Message::Put);
-            self.peer_scratch = peers;
+            self.fan_out(fx, &peers, request);
         } else {
             self.stats.requests_expired += 1;
         }
-    }
-
-    fn handle_get_locally_and_forward(
-        &mut self,
-        mut request: GetRequest,
-        from_client: bool,
-        fx: &mut dyn Effects,
-    ) {
-        let target_slice = self.partition.slice_of(request.key);
-        if self.current_slice == Some(target_slice) {
-            let body = match self.store.get(request.key, request.version) {
-                Some(object) => {
-                    self.stats.gets_hit += 1;
-                    ReplyBody::GetHit { object }
-                }
-                None => {
-                    self.stats.gets_missed += 1;
-                    ReplyBody::GetMiss { key: request.key }
-                }
-            };
-            self.reply_to(fx, request.client, request.id, body);
-            let ttl = if request.phase == DisseminationPhase::Global {
-                self.config.dissemination.intra_ttl
-            } else {
-                request.ttl.saturating_sub(1)
-            };
-            if ttl > 0 {
-                request.phase = DisseminationPhase::IntraSlice;
-                request.ttl = ttl;
-                let mut peers = mem::take(&mut self.peer_scratch);
-                self.intra_slice_targets(target_slice, &mut peers);
-                self.fan_out(fx, &peers, request, Message::Get);
-                self.peer_scratch = peers;
-            }
-        } else if request.phase == DisseminationPhase::Global && request.ttl > 0 {
-            request.ttl -= 1;
-            let fanout = self.config.dissemination.global_fanout;
-            let mut peers = mem::take(&mut self.peer_scratch);
-            self.global_targets(fanout, target_slice, &mut peers);
-            if peers.is_empty() && from_client {
-                self.stats.requests_expired += 1;
-            }
-            self.fan_out(fx, &peers, request, Message::Get);
-            self.peer_scratch = peers;
-        } else {
-            self.stats.requests_expired += 1;
-        }
+        self.peer_scratch = peers;
     }
 
     /// Sends one request to every peer, sharing a single reference-counted
     /// copy: the fan-out clones a pointer per peer, not the request body.
-    /// `wrap` is the [`Message`] constructor (`Message::Put` or
-    /// `Message::Get`).
-    fn fan_out<T>(
-        &mut self,
-        fx: &mut dyn Effects,
-        peers: &[NodeId],
-        request: T,
-        wrap: fn(Arc<T>) -> Message,
-    ) {
+    fn fan_out<R: Disseminated>(&mut self, fx: &mut dyn Effects, peers: &[NodeId], request: R) {
         if peers.is_empty() {
             return;
         }
         let shared = Arc::new(request);
         for &peer in peers {
-            self.send_to(fx, peer, wrap(Arc::clone(&shared)));
+            self.send_to(fx, peer, R::wrap(Arc::clone(&shared)));
         }
     }
 
@@ -818,6 +741,110 @@ impl<S: DataStore> DataFlasksNode<S> {
                 body,
             },
         );
+    }
+}
+
+/// A request the dissemination step carries: a put or a get. Both travel
+/// the same way; only a replica's local action differs.
+pub(crate) trait Disseminated: Sized {
+    /// The key addressed; its slice is the request's target.
+    fn key(&self) -> Key;
+    /// The client awaiting the reply, and the request's id.
+    fn origin(&self) -> (ClientId, RequestId);
+    /// The current phase and remaining hops.
+    fn route(&self) -> (DisseminationPhase, u32);
+    /// Rewrites the phase and remaining hops before a forward.
+    fn set_route(&mut self, phase: DisseminationPhase, ttl: u32);
+    /// The [`Message`] that carries a shared copy.
+    fn wrap(shared: Arc<Self>) -> Message;
+    /// A responsible replica's local action: updates the store and the
+    /// counters, and returns the reply body, if there is one to send.
+    fn serve<S: DataStore>(&self, store: &mut S, stats: &mut NodeStats) -> Option<ReplyBody>;
+}
+
+impl Disseminated for PutRequest {
+    fn key(&self) -> Key {
+        self.object.key
+    }
+
+    fn origin(&self) -> (ClientId, RequestId) {
+        (self.client, self.id)
+    }
+
+    fn route(&self) -> (DisseminationPhase, u32) {
+        (self.phase, self.ttl)
+    }
+
+    fn set_route(&mut self, phase: DisseminationPhase, ttl: u32) {
+        self.phase = phase;
+        self.ttl = ttl;
+    }
+
+    fn wrap(shared: Arc<Self>) -> Message {
+        Message::Put(shared)
+    }
+
+    /// Stores and acknowledges. The object is passed by reference — the
+    /// store clones only what it retains (one `Arc` bump on the value), and
+    /// the request keeps its object for the intra-slice fan-out.
+    fn serve<S: DataStore>(&self, store: &mut S, stats: &mut NodeStats) -> Option<ReplyBody> {
+        match store.put(&self.object) {
+            Ok(outcome) => {
+                if outcome.changed() {
+                    stats.puts_stored += 1;
+                } else {
+                    stats.puts_ignored += 1;
+                }
+                Some(ReplyBody::PutAck {
+                    key: self.object.key,
+                    version: self.object.version,
+                })
+            }
+            Err(_) => {
+                // A full replica cannot store more data and does not
+                // acknowledge; it still forwards so other replicas receive
+                // the object.
+                stats.puts_ignored += 1;
+                None
+            }
+        }
+    }
+}
+
+impl Disseminated for GetRequest {
+    fn key(&self) -> Key {
+        self.key
+    }
+
+    fn origin(&self) -> (ClientId, RequestId) {
+        (self.client, self.id)
+    }
+
+    fn route(&self) -> (DisseminationPhase, u32) {
+        (self.phase, self.ttl)
+    }
+
+    fn set_route(&mut self, phase: DisseminationPhase, ttl: u32) {
+        self.phase = phase;
+        self.ttl = ttl;
+    }
+
+    fn wrap(shared: Arc<Self>) -> Message {
+        Message::Get(shared)
+    }
+
+    /// Looks the key up and answers with a hit or a miss.
+    fn serve<S: DataStore>(&self, store: &mut S, stats: &mut NodeStats) -> Option<ReplyBody> {
+        Some(match store.get(self.key, self.version) {
+            Some(object) => {
+                stats.gets_hit += 1;
+                ReplyBody::GetHit { object }
+            }
+            None => {
+                stats.gets_missed += 1;
+                ReplyBody::GetMiss { key: self.key }
+            }
+        })
     }
 }
 
@@ -1183,26 +1210,217 @@ mod tests {
         }
     }
 
-    #[test]
-    fn expired_ttl_stops_global_dissemination() {
-        let mut n = node(0, 100);
-        n.bootstrap([descriptor(1, 200, None)]);
-        // Key owned by a slice this node does not belong to, TTL already zero.
-        let key = if n.is_responsible_for(Key::from_raw(0)) {
-            Key::from_raw(u64::MAX)
+    /// How a branch-table node is set up before its one request arrives.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Setup {
+        /// Peers 1–2 advertise the node's slice, peers 3–6 the other one.
+        Peers,
+        /// As `Peers`, and the store already holds the key at version 1.
+        Holding,
+        /// As `Peers`, over a one-key store that another key already fills.
+        FullStore,
+        /// No peers at all; the request comes from a client.
+        Isolated,
+    }
+
+    /// What one request did to a fresh node: the reply bodies, the
+    /// `(phase, ttl)` of each forwarded copy, and the counters `[puts_stored,
+    /// puts_ignored, gets_hit, gets_missed, requests_expired]`.
+    type Observed = (Vec<ReplyBody>, Vec<(DisseminationPhase, u32)>, [u64; 5]);
+
+    /// Hands one put (or get) of a key the node's slice `owns` (or not) to
+    /// a fresh node set up as `setup`, arriving from a peer in `phase` with
+    /// `ttl` — or, for [`Setup::Isolated`], from a client.
+    fn branch(
+        put: bool,
+        owns: bool,
+        phase: DisseminationPhase,
+        ttl: u32,
+        setup: Setup,
+    ) -> (Key, Observed) {
+        let store = if setup == Setup::FullStore {
+            MemoryStore::with_capacity(1)
         } else {
-            Key::from_raw(0)
+            MemoryStore::unbounded()
         };
-        let put = Arc::new(PutRequest {
-            id: RequestId::new(1, 1),
-            client: 1,
-            object: StoredObject::new(key, Version::new(1), Value::default()),
-            phase: DisseminationPhase::Global,
-            ttl: 0,
-        });
-        let outputs = message_outputs(&mut n, 9, Message::Put(put));
-        assert!(outputs.is_empty());
-        assert_eq!(n.stats().requests_expired, 1);
+        let mut n = DataFlasksNode::new(
+            NodeId::new(0),
+            test_config(),
+            NodeProfile::with_capacity_and_tie_break(100, 0),
+            store,
+            0xD47A,
+        );
+        if setup != Setup::Isolated {
+            n.bootstrap([
+                descriptor(1, 200, Some(0)),
+                descriptor(2, 300, Some(0)),
+                descriptor(3, 400, Some(1)),
+                descriptor(4, 500, Some(1)),
+                descriptor(5, 600, Some(1)),
+                descriptor(6, 700, Some(1)),
+            ]);
+            assert_eq!(n.slice(), Some(SliceId::new(0)), "lowest capacity");
+        }
+        let own = n.slice().expect("every node has a slice");
+        let slice = if owns {
+            own
+        } else {
+            SliceId::new((own.index() + 1) % n.partition().slice_count())
+        };
+        let key = n.partition().range_start(slice);
+        match setup {
+            Setup::Holding => {
+                let object = StoredObject::new(key, Version::new(1), Value::from_bytes(b"v1"));
+                n.store_mut().put(&object).unwrap();
+            }
+            Setup::FullStore => {
+                let other = StoredObject::new(n.partition().range_end(own), Version::new(1), {
+                    Value::default()
+                });
+                n.store_mut().put(&other).unwrap();
+            }
+            Setup::Peers | Setup::Isolated => {}
+        }
+        let id = RequestId::new(1, 0);
+        let value = Value::from_bytes(b"v2");
+        let outputs = if setup == Setup::Isolated {
+            let request = if put {
+                ClientRequest::Put {
+                    id,
+                    key,
+                    version: Version::new(2),
+                    value,
+                }
+            } else {
+                ClientRequest::Get {
+                    id,
+                    key,
+                    version: None,
+                }
+            };
+            client_outputs(&mut n, 1, request)
+        } else {
+            let message = if put {
+                Message::Put(Arc::new(PutRequest {
+                    id,
+                    client: 1,
+                    object: StoredObject::new(key, Version::new(2), value),
+                    phase,
+                    ttl,
+                }))
+            } else {
+                Message::Get(Arc::new(GetRequest {
+                    id,
+                    client: 1,
+                    key,
+                    version: None,
+                    phase,
+                    ttl,
+                }))
+            };
+            message_outputs(&mut n, 9, message)
+        };
+        let mut replies = Vec::new();
+        let mut forwarded = Vec::new();
+        let mut forward = |message: &Message| match message {
+            Message::Put(request) => forwarded.push((request.phase, request.ttl)),
+            Message::Get(request) => forwarded.push((request.phase, request.ttl)),
+            other => panic!("unexpected send {other:?}"),
+        };
+        for output in &outputs {
+            match output {
+                Output::Reply { reply, .. } => replies.push(reply.body.clone()),
+                Output::Send { message, .. } => forward(message),
+                Output::SendBatch { messages, .. } => messages.iter().for_each(&mut forward),
+                Output::Timer { .. } => panic!("a request arms no timer"),
+            }
+        }
+        let s = n.stats();
+        let counters = [
+            s.puts_stored,
+            s.puts_ignored,
+            s.gets_hit,
+            s.gets_missed,
+            s.requests_expired,
+        ];
+        (key, (replies, forwarded, counters))
+    }
+
+    /// The request path's branch table, for puts and gets alike: a
+    /// responsible replica acts locally, then switches to (or continues) the
+    /// intra-slice flood; anyone else keeps the global search going while its
+    /// TTL lasts, and counts the request expired when it cannot.
+    #[test]
+    fn request_path_branch_table() {
+        use DisseminationPhase::{Global, IntraSlice};
+        use Setup::{FullStore, Holding, Isolated, Peers};
+        fn ack(key: Key) -> ReplyBody {
+            ReplyBody::PutAck {
+                key,
+                version: Version::new(2),
+            }
+        }
+        fn hit(key: Key) -> ReplyBody {
+            let object = StoredObject::new(key, Version::new(1), Value::from_bytes(b"v1"));
+            ReplyBody::GetHit { object }
+        }
+        fn miss(key: Key) -> ReplyBody {
+            ReplyBody::GetMiss { key }
+        }
+        let intra = test_config().dissemination.intra_ttl;
+        assert!(intra > 1, "the table needs a multi-hop intra-slice flood");
+        let expired = [0, 0, 0, 0, 1];
+        // (row, put?, owns the key?, phase, ttl, setup,
+        //  reply, forwarded copies, counters)
+        type Row = (
+            &'static str,
+            bool,
+            bool,
+            DisseminationPhase,
+            u32,
+            Setup,
+            Option<fn(Key) -> ReplyBody>,
+            Vec<(DisseminationPhase, u32)>,
+            [u64; 5],
+        );
+        #[rustfmt::skip]
+        let rows: [Row; 15] = [
+            ("put, responsible, Global", true, true, Global, 3, Peers,
+                Some(ack), vec![(IntraSlice, intra); 2], [1, 0, 0, 0, 0]),
+            ("put, responsible, IntraSlice", true, true, IntraSlice, 3, Peers,
+                Some(ack), vec![(IntraSlice, 2); 2], [1, 0, 0, 0, 0]),
+            ("put, responsible, IntraSlice TTL 1", true, true, IntraSlice, 1, Peers,
+                Some(ack), vec![], [1, 0, 0, 0, 0]),
+            ("put, responsible, full store", true, true, Global, 3, FullStore,
+                None, vec![(IntraSlice, intra); 2], [0, 1, 0, 0, 0]),
+            ("put, not responsible, Global TTL 2", true, false, Global, 2, Peers,
+                None, vec![(Global, 1); 3], [0; 5]),
+            ("put, not responsible, Global TTL 0", true, false, Global, 0, Peers,
+                None, vec![], expired),
+            ("put, not responsible, IntraSlice", true, false, IntraSlice, 3, Peers,
+                None, vec![], expired),
+            ("put, isolated contact", true, false, Global, 0, Isolated,
+                None, vec![], expired),
+            ("get, responsible, Global", false, true, Global, 3, Holding,
+                Some(hit), vec![(IntraSlice, intra); 2], [0, 0, 1, 0, 0]),
+            ("get, responsible, IntraSlice", false, true, IntraSlice, 3, Peers,
+                Some(miss), vec![(IntraSlice, 2); 2], [0, 0, 0, 1, 0]),
+            ("get, responsible, IntraSlice TTL 1", false, true, IntraSlice, 1, Peers,
+                Some(miss), vec![], [0, 0, 0, 1, 0]),
+            ("get, not responsible, Global TTL 2", false, false, Global, 2, Peers,
+                None, vec![(Global, 1); 3], [0; 5]),
+            ("get, not responsible, Global TTL 0", false, false, Global, 0, Peers,
+                None, vec![], expired),
+            ("get, not responsible, IntraSlice", false, false, IntraSlice, 3, Peers,
+                None, vec![], expired),
+            ("get, isolated contact", false, false, Global, 0, Isolated,
+                None, vec![], expired),
+        ];
+        for (row, put, owns, phase, ttl, setup, reply, forwarded, counters) in rows {
+            let (key, observed) = branch(put, owns, phase, ttl, setup);
+            let replies = reply.map(|body| body(key)).into_iter().collect();
+            assert_eq!(observed, (replies, forwarded, counters), "{row}");
+        }
     }
 
     #[test]

@@ -49,9 +49,6 @@ pub trait WheelInstant: Copy + Ord {
     /// not after `epoch`).
     fn ticks_since(self, epoch: Self, tick: Self::Tick) -> u64;
 
-    /// The instant `ticks` ticks after `epoch` (saturating).
-    fn at_ticks(epoch: Self, tick: Self::Tick, ticks: u64) -> Self;
-
     /// Whether `tick` is the zero-length duration (rejected by
     /// [`TimerWheel::new`]).
     fn tick_is_zero(tick: Self::Tick) -> bool;
@@ -64,12 +61,6 @@ impl WheelInstant for std::time::Instant {
         (self.saturating_duration_since(epoch).as_nanos() / tick.as_nanos()) as u64
     }
 
-    fn at_ticks(epoch: Self, tick: Self::Tick, ticks: u64) -> Self {
-        let nanos =
-            (tick.as_nanos().saturating_mul(u128::from(ticks))).min(u128::from(u64::MAX)) as u64;
-        epoch + std::time::Duration::from_nanos(nanos)
-    }
-
     fn tick_is_zero(tick: Self::Tick) -> bool {
         tick.is_zero()
     }
@@ -80,14 +71,6 @@ impl WheelInstant for SimTime {
 
     fn ticks_since(self, epoch: Self, tick: Self::Tick) -> u64 {
         self.saturating_since(epoch).as_millis() / tick.as_millis()
-    }
-
-    fn at_ticks(epoch: Self, tick: Self::Tick, ticks: u64) -> Self {
-        SimTime::from_millis(
-            epoch
-                .as_millis()
-                .saturating_add(tick.as_millis().saturating_mul(ticks)),
-        )
     }
 
     fn tick_is_zero(tick: Self::Tick) -> bool {
@@ -375,13 +358,6 @@ impl<I: WheelInstant> TimerWheel<I> {
         false
     }
 
-    /// The instant of the wheel's next unprocessed tick — the earliest time
-    /// a not-yet-collected deadline could fire at.
-    #[must_use]
-    pub fn cursor_time(&self) -> I {
-        I::at_ticks(self.epoch, self.tick, self.cursor)
-    }
-
     /// Earliest tick holding a live entry, or `None` if nothing is armed.
     /// `O(entries)`; used by [`Self::advance_next`] to leap idle stretches.
     fn next_live_tick(&self) -> Option<u64> {
@@ -642,8 +618,9 @@ mod tests {
     #[test]
     fn cursor_time_tracks_processed_ticks() {
         let mut wheel = sim_wheel(8);
-        assert_eq!(wheel.cursor_time(), SimTime::ZERO);
+        assert_eq!(wheel.cursor, 0);
         assert!(walk(&mut wheel, at_ms(41)).is_empty());
-        assert_eq!(wheel.cursor_time(), at_ms(42));
+        // One-millisecond ticks: ticks 0..=41 have been processed.
+        assert_eq!(wheel.cursor, 42);
     }
 }

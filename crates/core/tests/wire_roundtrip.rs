@@ -220,3 +220,101 @@ proptest::proptest! {
         }
     }
 }
+
+/// [`every_tag_frame`] encoded from sender `0xC0FFEE`, as hex.
+const EVERY_TAG_FRAME_HEX: &str = concat!(
+    "f8010000eeffc000000000000a000000000200000002010000000000001e0000",
+    "0001000000000000000000000000000000010100000003010000000000001e00",
+    "0000010000000000000001000000000000000001020000000201000000000000",
+    "1e00000001000000000000000000000000000000010100000003010000000000",
+    "001e000000010000000000000001000000000000000003010000000900000000",
+    "000000000200000000000004000000000000004d000000000000000401000000",
+    "0900000000000000000200000000000004000000000000004d00000000000000",
+    "05010000000000000002000000000000000300000000000000ab000000000000",
+    "0003000000000000000300000078797a00040000000605000000000000000600",
+    "0000000000000700000000000000cd0000000000000001080000000000000001",
+    "0200000006050000000000000006000000000000000700000000000000cd0000",
+    "0000000000000102000000070100000010000000000000000200000000000000",
+    "4b6485c9ca115a14000100000000000000020000000000000801000000ab0000",
+    "000000000003000000000000000300000078797a010000001000000000000000",
+    "02000000000000004b6485c9ca115a140000000000000000ffffffffffffffff",
+    "0901000000ab0000000000000003000000000000000300000078797a",
+);
+
+/// One frame from a fixed sender holding one message of every tag (0, 1
+/// and 3–9; tag 2 is retired), with a get both with and without a version.
+fn every_tag_frame() -> Vec<Message> {
+    let descriptors = vec![descriptor(0x0102, 0, 1), descriptor(0x0102, 1, 3)];
+    let samples = vec![AttributeSample::new(
+        NodeId::new(9),
+        NodeProfile::with_capacity_and_tie_break(512, 4),
+        77,
+    )];
+    let stored = StoredObject::new(
+        Key::from_raw(0xAB),
+        Version::new(3),
+        Value::from_bytes(b"xyz"),
+    );
+    let mut digest = StoreDigest::new();
+    digest.record(Key::from_raw(0x10), Version::new(2));
+    let get = |version: Option<Version>| {
+        Message::Get(Arc::new(GetRequest {
+            id: RequestId::new(5, 6),
+            client: 7,
+            key: Key::from_raw(0xCD),
+            version,
+            phase: DisseminationPhase::IntraSlice,
+            ttl: 2,
+        }))
+    };
+    vec![
+        Message::Shuffle(ShuffleRequest {
+            descriptors: descriptors.clone(),
+        }),
+        Message::ShuffleReply(ShuffleResponse { descriptors }),
+        Message::SliceGossip(SliceExchange {
+            samples: samples.clone(),
+        }),
+        Message::SliceGossipReply(SliceExchange { samples }),
+        Message::Put(Arc::new(PutRequest {
+            id: RequestId::new(1, 2),
+            client: 3,
+            object: stored.clone(),
+            phase: DisseminationPhase::Global,
+            ttl: 4,
+        })),
+        get(Some(Version::new(8))),
+        get(None),
+        Message::AntiEntropyDigest {
+            digest: Arc::new(digest.clone()),
+            range: range(0x100, 0x200),
+        },
+        Message::AntiEntropyReply {
+            objects: vec![stored.clone()].into(),
+            digest: Arc::new(digest),
+            range: KeyRange::FULL,
+        },
+        Message::AntiEntropyPush {
+            objects: vec![stored].into(),
+        },
+    ]
+}
+
+fn to_hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The frame bytes are pinned, not only their round trip: a change that
+/// moved encoder and decoder together would keep every property above green
+/// while breaking compatibility with deployed peers.
+#[test]
+fn every_tag_frame_matches_its_pinned_bytes() {
+    let messages = every_tag_frame();
+    let mut buf = Vec::new();
+    encode_frame(NodeId::new(0x00C0_FFEE), &messages, &mut buf).unwrap();
+    assert_eq!(to_hex(&buf), EVERY_TAG_FRAME_HEX);
+    let frame = decode_frame(&buf).expect("the pinned frame decodes");
+    assert_eq!(frame.from, NodeId::new(0x00C0_FFEE));
+    assert_eq!(frame.messages, messages);
+    assert_eq!(frame.consumed, buf.len());
+}

@@ -8,7 +8,7 @@
 //! | [`types`] | Keys, versions, values, node ids, slices, time, configuration |
 //! | [`membership`] | Peer Sampling Service (Cyclon), partial views |
 //! | [`slicing`] | Distributed slicing (ordered rank estimation) |
-//! | [`store`] | Data-store abstraction (in-memory, append-only log, digests) |
+//! | [`store`] | Data-store abstraction (versioned in-memory and key-range sharded stores, digests) |
 //! | [`core`] | The DataFlasks node and client library |
 //! | [`sim`] | Deterministic discrete-event cluster simulation |
 //! | [`workload`] | YCSB-style workload generation |
@@ -57,7 +57,6 @@ pub use dataflasks_workload as workload;
 
 /// The items most programs need, importable with a single `use`.
 pub mod prelude {
-    pub use dataflasks_baseline::DhtCluster;
     pub use dataflasks_core::SchedulerConfig;
     pub use dataflasks_core::{
         ClientLibrary, ClientRequest, ClusterSpec, Completion, DataFlasksNode, DefaultStore,
@@ -76,7 +75,7 @@ pub mod prelude {
     };
     pub use dataflasks_sim::{ClusterReport, NetworkConfig, SimConfig, Simulation};
     pub use dataflasks_slicing::OrderedSlicer;
-    pub use dataflasks_store::{DataStore, LogStore, MemoryStore, ShardedStore, StoreDigest};
+    pub use dataflasks_store::{DataStore, MemoryStore, ShardedStore, StoreDigest};
     pub use dataflasks_types::{
         Duration, Key, KeyRange, NodeConfig, NodeId, NodeProfile, RequestId, SimTime, SliceId,
         SlicePartition, StoredObject, Value, Version,

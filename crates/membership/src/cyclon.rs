@@ -123,12 +123,6 @@ impl CyclonProtocol {
         self.slice = slice;
     }
 
-    /// The slice currently advertised by this node.
-    #[must_use]
-    pub fn advertised_slice(&self) -> Option<SliceId> {
-        self.slice
-    }
-
     /// Number of shuffles this node initiated.
     #[must_use]
     pub fn shuffles_initiated(&self) -> u64 {
@@ -392,7 +386,6 @@ mod tests {
         let d = p.self_descriptor();
         assert_eq!(d.profile().capacity(), 42);
         assert_eq!(d.slice(), Some(SliceId::new(3)));
-        assert_eq!(p.advertised_slice(), Some(SliceId::new(3)));
     }
 
     #[test]

@@ -97,16 +97,6 @@ impl SliceView {
         }
     }
 
-    /// Feeds every descriptor of an iterator into the view.
-    pub fn observe_all<I>(&mut self, descriptors: I)
-    where
-        I: IntoIterator<Item = NodeDescriptor>,
-    {
-        for d in descriptors {
-            self.observe(d);
-        }
-    }
-
     /// Ages the view and expires stale peers.
     pub fn age_and_expire(&mut self, max_age: u32) {
         self.view.age_and_expire(max_age);
@@ -170,7 +160,8 @@ mod tests {
     fn changing_slice_clears_the_view() {
         let mut view = SliceView::new(NodeId::new(0), 8);
         view.set_slice(Some(SliceId::new(1)));
-        view.observe_all([descriptor(1, Some(1)), descriptor(2, Some(1))]);
+        view.observe(descriptor(1, Some(1)));
+        view.observe(descriptor(2, Some(1)));
         assert_eq!(view.len(), 2);
         view.set_slice(Some(SliceId::new(2)));
         assert!(view.is_empty());

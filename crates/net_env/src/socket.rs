@@ -393,12 +393,6 @@ fn record_oversized_frame(shared: &Shared<Socket>, slot: usize) {
 }
 
 impl Cluster<Socket> {
-    /// Number of reactor threads polling the sockets.
-    #[must_use]
-    pub fn io_thread_count(&self) -> usize {
-        self.shared.transport.reactors.len()
-    }
-
     /// Successful outgoing dials since start (lazy first connects plus
     /// post-crash re-connects).
     #[must_use]

@@ -529,12 +529,6 @@ impl Simulation {
         &self.faulty
     }
 
-    /// Replaces the simulator-only timing faults (latency model override,
-    /// reordering) wholesale.
-    pub fn set_faulty_network(&mut self, faulty: FaultyNetwork) {
-        self.faulty = faulty;
-    }
-
     /// Applies one nemesis operation at the current virtual time: the
     /// link-fault subset lands on the shared [`FaultPlan`], timing faults
     /// reshape the [`FaultyNetwork`] interposer, and churn storms schedule

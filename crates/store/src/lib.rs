@@ -2,19 +2,17 @@
 //!
 //! The paper describes the Data Store as "an abstraction of the actual
 //! storing mechanism which can be the node hard disk or other persistence
-//! mechanism". This crate provides that abstraction and two implementations:
+//! mechanism". This crate provides that abstraction and two in-memory
+//! implementations:
 //!
-//! * [`MemoryStore`] — a versioned in-memory store (the configuration used by
-//!   the simulated experiments, where thousands of nodes run in one process),
-//! * [`LogStore`] — a persistent append-only log with crash recovery, showing
-//!   the abstraction backed by the node hard disk as the paper intends for a
-//!   real deployment,
+//! * [`MemoryStore`] — a versioned in-memory store,
 //! * [`ShardedStore`] — a key-range sharded wrapper over any inner store
-//!   (the default node store), whose anti-entropy digests, shipping diffs
-//!   and slice-migration scans touch only the affected shards.
+//!   with a `Default` (the default node store), whose anti-entropy digests,
+//!   shipping diffs and slice-migration scans touch only the affected
+//!   shards.
 //!
-//! All implement the [`DataStore`] trait used by the DataFlasks request
-//! handler, and all expose [`StoreDigest`]s — compact `key → latest version`
+//! Both implement the [`DataStore`] trait used by the DataFlasks request
+//! handler, and both expose [`StoreDigest`]s — compact `key → latest version`
 //! summaries — that the anti-entropy protocol exchanges to find missing or
 //! stale replicas.
 //!
@@ -39,60 +37,12 @@
 
 pub mod digest;
 pub mod error;
-pub mod log_store;
 pub mod memory;
 pub mod sharded;
 pub mod traits;
 
 pub use digest::StoreDigest;
 pub use error::StoreError;
-pub use log_store::LogStore;
 pub use memory::MemoryStore;
 pub use sharded::{ShardedStore, DEFAULT_SHARD_COUNT};
 pub use traits::{DataStore, PutOutcome};
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dataflasks_types::{Key, StoredObject, Value, Version};
-
-    /// The two store implementations behave identically through the trait.
-    #[test]
-    fn implementations_agree_through_the_trait() {
-        fn exercise<S: DataStore>(store: &mut S) {
-            let key = Key::from_user_key("agree");
-            store
-                .put(&StoredObject::new(
-                    key,
-                    Version::new(1),
-                    Value::from_bytes(b"a"),
-                ))
-                .unwrap();
-            store
-                .put(&StoredObject::new(
-                    key,
-                    Version::new(3),
-                    Value::from_bytes(b"c"),
-                ))
-                .unwrap();
-            assert_eq!(store.len(), 1);
-            assert_eq!(store.latest_version(key), Some(Version::new(3)));
-            assert_eq!(
-                store
-                    .get(key, Some(Version::new(1)))
-                    .unwrap()
-                    .value
-                    .as_slice(),
-                b"a"
-            );
-            assert_eq!(store.get_latest(key).unwrap().value.as_slice(), b"c");
-        }
-        let mut memory = MemoryStore::unbounded();
-        exercise(&mut memory);
-        let dir = std::env::temp_dir().join(format!("dataflasks-agree-{}", std::process::id()));
-        let mut log = LogStore::open(&dir).unwrap();
-        exercise(&mut log);
-        drop(log);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}

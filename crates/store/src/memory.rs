@@ -8,7 +8,7 @@ use crate::digest::StoreDigest;
 use crate::error::StoreError;
 use crate::traits::{DataStore, PutOutcome};
 
-/// Default number of historical versions retained per key.
+/// Number of versions retained per key, the latest included.
 const DEFAULT_HISTORY: usize = 4;
 
 /// An in-memory versioned object store.
@@ -34,10 +34,9 @@ const DEFAULT_HISTORY: usize = 4;
 /// ```
 #[derive(Debug, Clone)]
 pub struct MemoryStore {
-    /// Per key: version → value, bounded to `history_per_key` entries.
+    /// Per key: version → value, bounded to [`DEFAULT_HISTORY`] entries.
     objects: HashMap<Key, BTreeMap<Version, Value>>,
     capacity_keys: usize,
-    history_per_key: usize,
     puts_applied: u64,
     puts_ignored: u64,
 }
@@ -56,17 +55,9 @@ impl MemoryStore {
         Self {
             objects: HashMap::new(),
             capacity_keys,
-            history_per_key: DEFAULT_HISTORY,
             puts_applied: 0,
             puts_ignored: 0,
         }
-    }
-
-    /// Sets how many versions are retained per key (at least 1).
-    #[must_use]
-    pub fn with_history(mut self, versions_per_key: usize) -> Self {
-        self.history_per_key = versions_per_key.max(1);
-        self
     }
 
     /// The configured capacity in distinct keys (`0` = unbounded).
@@ -85,12 +76,6 @@ impl MemoryStore {
     #[must_use]
     pub fn puts_ignored(&self) -> u64 {
         self.puts_ignored
-    }
-
-    /// Total number of versions retained across all keys.
-    #[must_use]
-    pub fn total_versions(&self) -> usize {
-        self.objects.values().map(BTreeMap::len).sum()
     }
 }
 
@@ -114,8 +99,7 @@ impl DataStore for MemoryStore {
                 // Keep it in the history if there is room and it is new; the
                 // outcome is still Obsolete because the latest value did not
                 // change.
-                if !versions.contains_key(&object.version) && versions.len() < self.history_per_key
-                {
+                if !versions.contains_key(&object.version) && versions.len() < DEFAULT_HISTORY {
                     versions.insert(object.version, object.value.clone());
                 }
                 PutOutcome::Obsolete
@@ -123,7 +107,7 @@ impl DataStore for MemoryStore {
             Some(latest) if latest == object.version => PutOutcome::Duplicate,
             _ => {
                 versions.insert(object.version, object.value.clone());
-                while versions.len() > self.history_per_key {
+                while versions.len() > DEFAULT_HISTORY {
                     let oldest = *versions.keys().next().expect("non-empty history");
                     versions.remove(&oldest);
                 }
@@ -267,20 +251,18 @@ mod tests {
 
     #[test]
     fn history_is_bounded_and_keeps_the_newest_versions() {
-        let mut store = MemoryStore::unbounded().with_history(2);
-        for v in 1..=5u64 {
+        let mut store = MemoryStore::unbounded();
+        let newest = DEFAULT_HISTORY as u64 + 2;
+        for v in 1..=newest {
             store.put(&object("a", v)).unwrap();
         }
-        assert_eq!(store.total_versions(), 2);
-        assert!(store
-            .get(Key::from_user_key("a"), Some(Version::new(1)))
-            .is_none());
-        assert!(store
-            .get(Key::from_user_key("a"), Some(Version::new(5)))
-            .is_some());
-        assert!(store
-            .get(Key::from_user_key("a"), Some(Version::new(4)))
-            .is_some());
+        // The DEFAULT_HISTORY newest versions are readable, the older ones
+        // were dropped.
+        for v in 1..=newest {
+            let kept = v > newest - DEFAULT_HISTORY as u64;
+            let read = store.get(Key::from_user_key("a"), Some(Version::new(v)));
+            assert_eq!(read.is_some(), kept, "version {v}");
+        }
     }
 
     #[test]

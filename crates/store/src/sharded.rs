@@ -49,7 +49,7 @@ pub const DEFAULT_SHARD_COUNT: u32 = dataflasks_types::DEFAULT_STORE_SHARDS;
 /// use dataflasks_store::{DataStore, ShardedStore};
 /// use dataflasks_types::{Key, StoredObject, Value, Version};
 ///
-/// let mut store = ShardedStore::new(8);
+/// let mut store: ShardedStore = ShardedStore::new(8);
 /// let key = Key::from_user_key("user:1");
 /// store
 ///     .put(&StoredObject::new(key, Version::new(1), Value::from_bytes(b"v1")))
@@ -66,54 +66,19 @@ pub struct ShardedStore<S = MemoryStore> {
     /// Cached per-shard `key → latest version` summaries, kept in lockstep
     /// with the shards by [`DataStore::put`] and [`DataStore::retain_slice`].
     digests: Vec<StoreDigest>,
-    /// How to rebuild an empty shard, enabling the O(1) wholesale-drop path
-    /// of [`DataStore::retain_slice`] for shards entirely outside the
-    /// retained range. `None` (pre-built shards adopted by
-    /// [`Self::from_shards`]) falls back to a per-key scan of those shards.
-    reset: Option<fn() -> S>,
-}
-
-impl ShardedStore<MemoryStore> {
-    /// Creates a store with `shard_count` key-range shards (at least 1),
-    /// each an unbounded [`MemoryStore`] — the default node store.
-    #[must_use]
-    pub fn new(shard_count: u32) -> Self {
-        Self::with_default_shards(shard_count)
-    }
 }
 
 impl<S: DataStore + Default> ShardedStore<S> {
     /// Creates a store with `shard_count` key-range shards (at least 1),
-    /// each backed by `S::default()`.
+    /// each backed by `S::default()` — an unbounded [`MemoryStore`] for the
+    /// default node store.
     #[must_use]
-    pub fn with_default_shards(shard_count: u32) -> Self {
+    pub fn new(shard_count: u32) -> Self {
         let shard_count = shard_count.max(1);
         Self {
             shard_map: SlicePartition::new(shard_count),
             shards: (0..shard_count).map(|_| S::default()).collect(),
             digests: (0..shard_count).map(|_| StoreDigest::new()).collect(),
-            reset: Some(S::default),
-        }
-    }
-}
-
-impl<S: DataStore> ShardedStore<S> {
-    /// Wraps pre-built shards; shard `i` must only be used for keys of the
-    /// `i`-th of `shards.len()` equal key ranges (existing contents are
-    /// adopted as-is and summarised into the digest cache).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is empty.
-    #[must_use]
-    pub fn from_shards(shards: Vec<S>) -> Self {
-        assert!(!shards.is_empty(), "a sharded store needs at least 1 shard");
-        let digests = shards.iter().map(DataStore::digest).collect();
-        Self {
-            shard_map: SlicePartition::new(shards.len() as u32),
-            shards,
-            digests,
-            reset: None,
         }
     }
 
@@ -121,18 +86,6 @@ impl<S: DataStore> ShardedStore<S> {
     #[must_use]
     pub fn shard_count(&self) -> u32 {
         self.shard_map.slice_count()
-    }
-
-    /// Read access to the shard owning `key` (for tests and tooling).
-    #[must_use]
-    pub fn shard_for(&self, key: Key) -> &S {
-        &self.shards[self.shard_index(key)]
-    }
-
-    /// Number of keys held by each shard, in shard (key-range) order.
-    #[must_use]
-    pub fn shard_lens(&self) -> Vec<usize> {
-        self.shards.iter().map(DataStore::len).collect()
     }
 
     fn shard_index(&self, key: Key) -> usize {
@@ -147,11 +100,11 @@ impl<S: DataStore> ShardedStore<S> {
 
 impl<S: DataStore + Default> Default for ShardedStore<S> {
     fn default() -> Self {
-        Self::with_default_shards(DEFAULT_SHARD_COUNT)
+        Self::new(DEFAULT_SHARD_COUNT)
     }
 }
 
-impl<S: DataStore> DataStore for ShardedStore<S> {
+impl<S: DataStore + Default> DataStore for ShardedStore<S> {
     fn put(&mut self, object: &StoredObject) -> Result<PutOutcome, StoreError> {
         let index = self.shard_index(object.key);
         let outcome = self.shards[index].put(object)?;
@@ -274,19 +227,10 @@ impl<S: DataStore> DataStore for ShardedStore<S> {
                 continue;
             }
             if shard_hi < keep_lo || shard_lo > keep_hi {
-                // Entirely outside: the whole shard is handed over — O(1)
-                // when the shard can be rebuilt empty, a scan otherwise.
-                let dropped = match self.reset {
-                    Some(reset) => {
-                        let dropped = self.shards[index].len();
-                        if dropped > 0 {
-                            self.shards[index] = reset();
-                        }
-                        dropped
-                    }
-                    None => self.shards[index].retain_slice(partition, slice),
-                };
+                // Entirely outside: the whole shard is handed over, in O(1).
+                let dropped = self.shards[index].len();
                 if dropped > 0 {
+                    self.shards[index] = S::default();
                     self.digests[index] = StoreDigest::new();
                     removed += dropped;
                 }
@@ -330,7 +274,7 @@ mod tests {
         let store = populated(8, 256);
         assert_eq!(store.len(), 256);
         assert_eq!(store.shard_count(), 8);
-        let lens = store.shard_lens();
+        let lens: Vec<usize> = store.shards.iter().map(DataStore::len).collect();
         assert_eq!(lens.iter().sum::<usize>(), 256);
         assert!(
             lens.iter().filter(|&&l| l > 0).count() >= 4,
@@ -338,19 +282,21 @@ mod tests {
         );
         // Every key is served by the shard the router names.
         for key in store.keys() {
-            assert!(store.shard_for(key).get_latest(key).is_some());
+            assert!(store.shards[store.shard_index(key)]
+                .get_latest(key)
+                .is_some());
         }
     }
 
     #[test]
     fn zero_shards_is_clamped_to_one() {
-        let store = ShardedStore::new(0);
+        let store: ShardedStore = ShardedStore::new(0);
         assert_eq!(store.shard_count(), 1);
     }
 
     #[test]
     fn put_outcomes_match_the_inner_store() {
-        let mut store = ShardedStore::new(4);
+        let mut store: ShardedStore = ShardedStore::new(4);
         assert_eq!(store.put(&object("a", 5)).unwrap(), PutOutcome::Stored);
         assert_eq!(store.put(&object("a", 5)).unwrap(), PutOutcome::Duplicate);
         assert_eq!(store.put(&object("a", 3)).unwrap(), PutOutcome::Obsolete);
@@ -386,7 +332,7 @@ mod tests {
 
     #[test]
     fn behaves_like_an_unsharded_memory_store() {
-        let mut sharded = ShardedStore::new(7);
+        let mut sharded: ShardedStore = ShardedStore::new(7);
         let mut flat = MemoryStore::unbounded();
         for i in 0..200u64 {
             let o = object(&format!("k{}", i % 50), i % 6);
@@ -430,7 +376,7 @@ mod tests {
     #[test]
     fn retain_slice_matches_the_unsharded_result() {
         for shards in [1u32, 3, 4, 16] {
-            let mut sharded = ShardedStore::new(shards);
+            let mut sharded: ShardedStore = ShardedStore::new(shards);
             let mut flat = MemoryStore::unbounded();
             for i in 0..128u64 {
                 let o = object(&format!("k{i}"), 1);
@@ -491,7 +437,7 @@ mod tests {
 
     #[test]
     fn range_scoped_shipping_matches_the_flat_store() {
-        let mut sharded = ShardedStore::new(8);
+        let mut sharded: ShardedStore = ShardedStore::new(8);
         let mut flat = MemoryStore::unbounded();
         for i in 0..160u64 {
             let o = object(&format!("rk{i}"), i % 4 + 1);
@@ -521,30 +467,5 @@ mod tests {
             sharded.objects_newer_than_in(&remote, KeyRange::FULL, 64),
             sharded.objects_newer_than(&remote, 64)
         );
-    }
-
-    #[test]
-    fn from_shards_adopts_existing_contents() {
-        let mut low = MemoryStore::unbounded();
-        // Key 0 falls in shard 0 of 2.
-        low.put(&StoredObject::new(
-            Key::from_raw(0),
-            Version::new(1),
-            Value::from_bytes(b"low"),
-        ))
-        .unwrap();
-        let store = ShardedStore::from_shards(vec![low, MemoryStore::unbounded()]);
-        assert_eq!(store.shard_count(), 2);
-        assert_eq!(store.len(), 1);
-        assert_eq!(
-            store.digest().version_of(Key::from_raw(0)),
-            Some(Version::new(1))
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1 shard")]
-    fn from_no_shards_is_rejected() {
-        let _ = ShardedStore::<MemoryStore>::from_shards(vec![]);
     }
 }

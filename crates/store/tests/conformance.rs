@@ -5,14 +5,11 @@
 //! under test and to an unbounded [`MemoryStore`] reference; every
 //! client-observable behaviour — put outcomes, reads, latest versions,
 //! digests, anti-entropy shipping batches and slice-migration drops — must
-//! match exactly. The suite is parameterised over [`MemoryStore`],
-//! [`LogStore`] and [`ShardedStore`] (several shard counts, including the
-//! degenerate single shard), so any future store backend can be added with
-//! one line.
+//! match exactly. The suite is parameterised over [`MemoryStore`] and
+//! [`ShardedStore`] (several shard counts, including the degenerate single
+//! shard), so any future store backend can be added with one line.
 
-use std::path::PathBuf;
-
-use dataflasks_store::{DataStore, LogStore, MemoryStore, ShardedStore, StoreDigest};
+use dataflasks_store::{DataStore, MemoryStore, ShardedStore, StoreDigest};
 use dataflasks_types::{Key, KeyRange, SliceId, SlicePartition, StoredObject, Value, Version};
 use proptest::prelude::*;
 use proptest::test_runner::{Config, TestCaseError, TestRunner};
@@ -187,51 +184,12 @@ fn sharded_store_conforms_across_shard_counts() {
             .run(&ops_strategy(), |ops| {
                 check_conformance(
                     &format!("ShardedStore({shards})"),
-                    &mut ShardedStore::new(shards),
+                    &mut ShardedStore::<MemoryStore>::new(shards),
                     &ops,
                 )
             })
             .unwrap();
     }
-}
-
-#[test]
-fn sharded_log_store_conforms() {
-    // The sharded wrapper is generic: a persistent store works as the inner
-    // shard type too. `LogStore` has no `Default`, so shards are pre-built.
-    let dir = temp_dir("sharded-log");
-    runner(6)
-        .run(&ops_strategy(), |ops| {
-            std::fs::remove_dir_all(&dir).ok();
-            let shards = (0..4)
-                .map(|i| LogStore::open(dir.join(format!("shard-{i}"))).unwrap())
-                .collect();
-            let mut store = ShardedStore::from_shards(shards);
-            check_conformance("ShardedStore<LogStore>", &mut store, &ops)
-        })
-        .unwrap();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn log_store_conforms() {
-    let dir = temp_dir("log");
-    runner(12)
-        .run(&ops_strategy(), |ops| {
-            std::fs::remove_dir_all(&dir).ok();
-            let mut store = LogStore::open(&dir).unwrap();
-            check_conformance("LogStore", &mut store, &ops)
-        })
-        .unwrap();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "dataflasks-conformance-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ))
 }
 
 /// Regression: `retain_slice` at exact shard/slice boundaries. Shard ranges
@@ -245,7 +203,7 @@ fn retain_slice_is_exact_at_shard_boundaries() {
         for shard_count in [1u32, 2, 3, 6, 16] {
             for retained in 0..slice_count {
                 let retained = SliceId::new(retained);
-                let mut store = ShardedStore::new(shard_count);
+                let mut store: ShardedStore = ShardedStore::new(shard_count);
                 let mut expected_kept = 0;
                 let mut planted = 0;
                 for s in 0..slice_count {

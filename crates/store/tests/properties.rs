@@ -1,6 +1,6 @@
 //! Property-based tests for the data-store substrate.
 
-use dataflasks_store::{DataStore, LogStore, MemoryStore, PutOutcome, StoreDigest};
+use dataflasks_store::{DataStore, MemoryStore, PutOutcome, StoreDigest};
 use dataflasks_types::{Key, SliceId, SlicePartition, StoredObject, Value, Version};
 use proptest::prelude::*;
 
@@ -153,40 +153,4 @@ proptest! {
             prop_assert!(!behind.contains(key));
         }
     }
-}
-
-/// The log store recovers exactly the effective state after an arbitrary put
-/// sequence (smaller case count because each case touches the filesystem).
-#[test]
-fn log_store_recovers_effective_state() {
-    let mut runner = proptest::test_runner::TestRunner::new(proptest::test_runner::Config {
-        cases: 16,
-        ..proptest::test_runner::Config::default()
-    });
-    runner
-        .run(&proptest::collection::vec(arb_put(), 0..48), |puts| {
-            let dir = std::env::temp_dir().join(format!(
-                "dataflasks-prop-log-{}-{:?}",
-                std::process::id(),
-                std::thread::current().id()
-            ));
-            std::fs::remove_dir_all(&dir).ok();
-            let mut reference = MemoryStore::unbounded();
-            {
-                let mut log = LogStore::open(&dir).unwrap();
-                for (tag, version, payload) in &puts {
-                    let _ = log.put(&object(*tag, *version, payload));
-                    let _ = reference.put(&object(*tag, *version, payload));
-                }
-                log.sync().unwrap();
-            }
-            let recovered = LogStore::open(&dir).unwrap();
-            prop_assert_eq!(recovered.len(), reference.len());
-            for key in reference.keys() {
-                prop_assert_eq!(recovered.latest_version(key), reference.latest_version(key));
-            }
-            std::fs::remove_dir_all(&dir).ok();
-            Ok(())
-        })
-        .unwrap();
 }

@@ -2,6 +2,7 @@
 //! correlated failure — the dependability argument of the paper's
 //! introduction.
 
+use dataflasks::baseline::DhtCluster;
 use dataflasks::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

@@ -108,3 +108,54 @@ fn different_seeds_produce_different_histories() {
         "two different seeds produced identical histories"
     );
 }
+
+/// A fixed-count pin of the simulated message flow at tier-1 size: 1 000
+/// nodes in five ~200-node slices, 1 % crash and 1 % join churn over 20 s
+/// with 100 puts riding on it, then 100 gets of the same keys, at a fixed
+/// seed. The full-size `sim_churn_10k` benchmark run pins the same shape at
+/// 10 000 nodes, but only a release build of the benchmark checks it; this
+/// test catches a change to what nodes emit, or to the order of their
+/// random draws, in `cargo test`.
+///
+/// The expected values are exact. A change that keeps the protocol's
+/// decisions and RNG calls must leave them alone; ROADMAP item 1 (a stable
+/// slice estimator) changes the flow on purpose and is expected to re-pin
+/// them.
+#[test]
+fn churned_thousand_node_run_matches_its_pinned_counts() {
+    let nodes = 1_000;
+    let mut config = NodeConfig::for_system_size(nodes, 5);
+    config.dissemination.global_fanout = 4;
+    let mut sim = Simulation::new(SimConfig {
+        seed: 0x5EED_1000,
+        client_timeout: Duration::from_secs(5),
+        ..SimConfig::default()
+    });
+    sim.spawn_cluster(nodes, config);
+    sim.run_for(Duration::from_secs(20));
+
+    let start = sim.now();
+    sim.schedule_churn(start, start + Duration::from_secs(20), 10, 10);
+    let client = sim.add_client();
+    let key = |i: u64| Key::from_user_key(&format!("pin-{i}"));
+    for i in 0..100 {
+        let at = start + Duration::from_millis(i * 200);
+        sim.schedule_put(at, client, key(i), Version::new(1), Value::filled(64, 7));
+        sim.schedule_get(at + Duration::from_secs(15), client, key(i), None);
+    }
+    sim.run_until(start + Duration::from_secs(45));
+
+    let stats = sim.client(client).expect("the client exists").stats();
+    let request_messages: u64 = sim
+        .node_stats()
+        .iter()
+        .map(|s| s.sent(MessageKind::Request))
+        .sum();
+    let observed = (
+        sim.events_dispatched(),
+        stats.puts_acked,
+        stats.gets_hit,
+        request_messages,
+    );
+    assert_eq!(observed, (733_093, 100, 100, 263_638));
+}
