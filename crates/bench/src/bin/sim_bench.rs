@@ -25,6 +25,7 @@ use dataflasks_bench::{cell, publish, Cell, Row, SIM_RULES};
 const ROW_FIELDS: &[&str] = &[
     "nodes",
     "slices",
+    "cores",
     "spawn_ms",
     "spawn_ms_per_node",
     "sim_seconds",
@@ -46,12 +47,17 @@ const ROW_FIELDS: &[&str] = &[
     "peak_rss_kb",
 ];
 
-/// The pre-slab, pre-wheel baseline this artifact's `history` header
-/// records: every protocol timer funnelled through the global event heap
-/// (with a `HashMap` generation probe per fire), nodes addressed through
-/// `HashMap<NodeId, SimNode>`, and a fresh alive-list clone per client
-/// operation. Measured on the same host, same seeded 10k-node schedule.
-const PRE_SLAB_HISTORY: &str = concat!(
+/// The earlier rows this artifact's `history` header records, each from the
+/// same seeded schedule on the same host:
+/// - `heap_timers_hashmap_nodes`, the pre-slab, pre-wheel 10k row: every
+///   protocol timer funnelled through the global event heap (with a
+///   `HashMap` generation probe per fire), nodes addressed through
+///   `HashMap<NodeId, SimNode>`, and a fresh alive-list clone per client
+///   operation;
+/// - `sequential_dispatch`, the sweep as it ran before the simulator
+///   dispatched an instant's node rounds on every core: one event at a
+///   time, on one thread.
+const HISTORY: &str = concat!(
     "{\n",
     "    \"heap_timers_hashmap_nodes\": {\n",
     "      \"nodes\": 10000,\n",
@@ -62,7 +68,78 @@ const PRE_SLAB_HISTORY: &str = concat!(
     "      \"events_dispatched\": 8567913,\n",
     "      \"events_per_s\": 77911.37,\n",
     "      \"peak_rss_kb\": 1803488\n",
-    "    }\n",
+    "    },\n",
+    "    \"sequential_dispatch\": [\n",
+    "      {\n",
+    "        \"nodes\": 10000,\n",
+    "        \"slices\": 50,\n",
+    "        \"spawn_ms\": 108,\n",
+    "        \"spawn_ms_per_node\": 0.01,\n",
+    "        \"sim_seconds\": 105,\n",
+    "        \"run_wall_ms\": 34131,\n",
+    "        \"wall_ms_per_sim_s\": 325.06,\n",
+    "        \"events_dispatched\": 8564569,\n",
+    "        \"events_per_s\": 250932.26,\n",
+    "        \"timer_fires\": 2309968,\n",
+    "        \"messages_delivered\": 6189529,\n",
+    "        \"messages_dropped\": 0,\n",
+    "        \"crashes\": 100,\n",
+    "        \"joins\": 100,\n",
+    "        \"alive_end\": 10000,\n",
+    "        \"puts_submitted\": 800,\n",
+    "        \"puts_completed\": 800,\n",
+    "        \"gets_submitted\": 800,\n",
+    "        \"gets_answered\": 800,\n",
+    "        \"get_hits\": 545,\n",
+    "        \"peak_rss_kb\": 323676\n",
+    "      },\n",
+    "      {\n",
+    "        \"nodes\": 50000,\n",
+    "        \"slices\": 250,\n",
+    "        \"spawn_ms\": 325,\n",
+    "        \"spawn_ms_per_node\": 0.01,\n",
+    "        \"sim_seconds\": 105,\n",
+    "        \"run_wall_ms\": 278240,\n",
+    "        \"wall_ms_per_sim_s\": 2649.90,\n",
+    "        \"events_dispatched\": 40808141,\n",
+    "        \"events_per_s\": 146665.26,\n",
+    "        \"timer_fires\": 11550105,\n",
+    "        \"messages_delivered\": 29186919,\n",
+    "        \"messages_dropped\": 0,\n",
+    "        \"crashes\": 500,\n",
+    "        \"joins\": 500,\n",
+    "        \"alive_end\": 50001,\n",
+    "        \"puts_submitted\": 800,\n",
+    "        \"puts_completed\": 800,\n",
+    "        \"gets_submitted\": 800,\n",
+    "        \"gets_answered\": 800,\n",
+    "        \"get_hits\": 221,\n",
+    "        \"peak_rss_kb\": 2858276\n",
+    "      },\n",
+    "      {\n",
+    "        \"nodes\": 100000,\n",
+    "        \"slices\": 500,\n",
+    "        \"spawn_ms\": 724,\n",
+    "        \"spawn_ms_per_node\": 0.01,\n",
+    "        \"sim_seconds\": 105,\n",
+    "        \"run_wall_ms\": 915251,\n",
+    "        \"wall_ms_per_sim_s\": 8716.68,\n",
+    "        \"events_dispatched\": 96173706,\n",
+    "        \"events_per_s\": 105079.05,\n",
+    "        \"timer_fires\": 23101190,\n",
+    "        \"messages_delivered\": 72902304,\n",
+    "        \"messages_dropped\": 0,\n",
+    "        \"crashes\": 1000,\n",
+    "        \"joins\": 1000,\n",
+    "        \"alive_end\": 100004,\n",
+    "        \"puts_submitted\": 800,\n",
+    "        \"puts_completed\": 800,\n",
+    "        \"gets_submitted\": 800,\n",
+    "        \"gets_answered\": 800,\n",
+    "        \"get_hits\": 438,\n",
+    "        \"peak_rss_kb\": 9952640\n",
+    "      }\n",
+    "    ]\n",
     "  }"
 );
 
@@ -216,7 +293,7 @@ fn main() {
         &[
             ("seed", args.seed.to_string()),
             ("churn_pct", args.churn_pct.to_string()),
-            ("history", PRE_SLAB_HISTORY.to_string()),
+            ("history", HISTORY.to_string()),
         ],
         &rows,
         SIM_RULES,
@@ -340,11 +417,14 @@ fn run_row(args: &Args, nodes: usize) -> Row {
         populations.iter().map(|&(_, n)| n).max().unwrap_or(0),
         stats.timeouts,
     );
+    // Provenance: the simulator dispatches each batch on this many threads.
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let events = sim.events_dispatched();
     let events_per_s = events as f64 / (run_wall_ms as f64 / 1_000.0).max(1e-9);
     let row: Row = vec![
         ("nodes", nodes.into()),
         ("slices", (slices as u64).into()),
+        ("cores", cores.into()),
         ("spawn_ms", (spawn_ms as u64).into()),
         (
             "spawn_ms_per_node",

@@ -169,6 +169,9 @@ pub enum Rule {
     /// The column reads zero (invariant violations; fresh allocations in a
     /// phase that must run on recycled memory).
     Zero(&'static str),
+    /// The column is a positive integer (a count such as the cores a row
+    /// ran with).
+    Count(&'static str),
     /// The two columns read the same: every submitted operation completed.
     Equal(&'static str, &'static str),
     /// The column increases strictly, in row order, among the rows that
@@ -205,13 +208,14 @@ pub const STEADY_ALLOC_RULES: &[Rule] = &[
 
 /// Simulator sweep rows (`sim_bench`): every operation of the schedule
 /// reached a terminal state (the short client timeout guarantees it can),
-/// and the event loop ran.
+/// the event loop ran, and the row names the cores it ran with.
 pub const SIM_RULES: &[Rule] = &[
     Rule::Positive("puts_completed"),
     Rule::Positive("gets_answered"),
     Rule::Equal("puts_submitted", "puts_completed"),
     Rule::Equal("gets_submitted", "gets_answered"),
     Rule::Positive("events_per_s"),
+    Rule::Count("cores"),
 ];
 
 /// Open-loop rows (`openloop_bench`) may shed arrivals and time operations
@@ -260,6 +264,11 @@ pub fn violations(rows: &[Row], rules: &[Rule], requested: &[Row]) -> Vec<String
             let problem = match *rule {
                 Rule::Positive(column) => bound(read(column), column, |v| v > 0.0, "positive"),
                 Rule::Zero(column) => bound(read(column), column, |v| v == 0.0, "0"),
+                Rule::Count(column) => match read(column) {
+                    Some(Cell::Int(count)) if count > 0 => None,
+                    Some(value) => Some(format!("{column} is {value}, must be a positive integer")),
+                    None => Some(format!("{column} missing")),
+                },
                 Rule::Equal(left, right) => match (read(left), read(right)) {
                     (Some(a), Some(b)) if a == b => None,
                     (Some(a), Some(b)) => Some(format!("{right} is {b}, {left} is {a}")),
@@ -943,6 +952,7 @@ mod tests {
             ("gossip_messages", 1538u64.into()),
             ("wire_rejects", 0u64.into()),
             ("events_per_s", 250932.26.into()),
+            ("cores", 2usize.into()),
         ]
     }
 
@@ -1008,6 +1018,34 @@ mod tests {
                 "gets_answered is 149, gets_submitted is 150",
             );
         }
+    }
+
+    #[test]
+    fn a_sim_row_names_a_positive_whole_number_of_cores() {
+        let good = completion_row((150, 150), (150, 150));
+        let with_cores = |cores: Cell| -> Row {
+            let mut row = good.clone();
+            row.retain(|(name, _)| *name != "cores");
+            row.push(("cores", cores));
+            row
+        };
+        for (cores, condition) in [
+            (Cell::Int(0), "cores is 0, must be a positive integer"),
+            (
+                Cell::Float(2.5),
+                "cores is 2.50, must be a positive integer",
+            ),
+        ] {
+            assert_judged(
+                SIM_RULES,
+                vec![good.clone()],
+                vec![with_cores(cores)],
+                condition,
+            );
+        }
+        let mut missing = good.clone();
+        missing.retain(|(name, _)| *name != "cores");
+        assert_judged(SIM_RULES, vec![good], vec![missing], "cores missing");
     }
 
     #[test]

@@ -8,6 +8,18 @@
 //! deterministic (seeded) randomness, so thousands of nodes run in a single
 //! process and every run is exactly reproducible.
 //!
+//! The event loop dispatches in batches: every heap event due at the
+//! current instant is one batch, every wheel timer due at the current tick
+//! another. A batch's node rounds are grouped by node (each node's rounds in
+//! event order) and run on every core, capturing their outputs; the calling
+//! thread then routes the outputs in event order. A round touches only its
+//! own node, and the shared state — the simulation RNG, the event heap's
+//! sequence numbers, the timer wheel, the counters — is touched only by
+//! that ordered routing, so a seeded run is byte-identical at any core
+//! count. Events that read shared state themselves (scheduled client puts
+//! and gets, injected timer firings, crashes and joins) split the batch and
+//! run alone, in place.
+//!
 //! * [`Simulation`] — owns the nodes, clients, clock and event queue,
 //! * [`SimConfig`] / [`NetworkConfig`] — latency, loss, seeds, timeouts,
 //! * [`ClusterReport`] / [`Distribution`] — the per-node message statistics
@@ -32,6 +44,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod batch;
 pub mod metrics;
 pub mod network;
 pub mod simulation;

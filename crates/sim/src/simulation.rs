@@ -2,7 +2,9 @@
 
 use std::collections::BTreeMap;
 use std::mem;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
+use std::thread;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -22,6 +24,7 @@ use dataflasks_types::{
     Duration, Key, NodeConfig, NodeId, NodeProfile, SimTime, SliceId, Value, Version,
 };
 
+use crate::batch::{Batch, Host, Pool, RoundInput};
 use crate::metrics::ClusterReport;
 use crate::network::{EventPayload, EventQueue, FaultyNetwork, LatencyModel, NetworkConfig};
 
@@ -38,6 +41,11 @@ const WHEEL_SLOTS: usize = 8192;
 /// across the thread pool instead of one at a time (matches the spec
 /// builder's own parallelism threshold).
 const PARALLEL_SPAWN_THRESHOLD: usize = 256;
+
+/// Node rounds a batch must hold before it runs on several threads: below
+/// it, waking a helper thread costs more than the second core saves, so the
+/// calling thread runs the batch alone.
+const PARALLEL_ROUNDS: usize = 16;
 
 /// Top-level simulation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,8 +69,31 @@ impl Default for SimConfig {
 }
 
 struct SimNode {
-    host: NodeHost<DefaultStore>,
+    host: Slot,
     alive: bool,
+}
+
+/// Where a node's host is: home in the slab, or lent to its group of the
+/// batch being dispatched.
+enum Slot {
+    Home(Box<Host>),
+    Lent { group: usize },
+}
+
+impl SimNode {
+    fn host(&self) -> &Host {
+        match &self.host {
+            Slot::Home(host) => host,
+            Slot::Lent { .. } => unreachable!("a host is lent only while its batch runs"),
+        }
+    }
+
+    fn host_mut(&mut self) -> &mut Host {
+        match &mut self.host {
+            Slot::Home(host) => host,
+            Slot::Lent { .. } => unreachable!("a host is lent only while its batch runs"),
+        }
+    }
 }
 
 /// A client library plus the epoch of the alive set its contacts last
@@ -86,8 +117,8 @@ struct Routing<'a> {
     faults: &'a FaultPlan,
     /// Simulator-only nemesis timing faults (latency swaps, reordering).
     faulty: &'a FaultyNetwork,
-    /// Injected-fault accounting for this dispatch; folded into the sender
-    /// node's stats after the flush (its host is borrowed right now).
+    /// Injected-fault accounting for this round; folded into the sender
+    /// node's stats once its outputs are routed.
     injected: &'a mut InjectedCounters,
     messages_dropped: &'a mut u64,
     wheel: &'a mut TimerWheel<SimTime>,
@@ -189,7 +220,8 @@ impl Routing<'_> {
 /// node id, with a swap-remove alive list beside it, and periodic protocol
 /// timers live in a hashed timer wheel rather than the event heap — the
 /// steady-state event loop indexes, it does not hash, and a warmed run
-/// allocates nothing per dispatch.
+/// allocates nothing per event (a batch run on several threads allocates
+/// the one handle its threads share).
 ///
 /// # Example
 ///
@@ -232,10 +264,24 @@ pub struct Simulation {
     wheel: TimerWheel<SimTime>,
     /// Scratch for collecting due timers (reused across dispatches).
     timer_scratch: Vec<DueTimer<SimTime>>,
-    /// The memory of every dispatch round, lent to the node being
-    /// dispatched: one warm effect buffer and batch pool for the whole
-    /// event loop instead of one per node.
+    /// The memory of every dispatch round the calling thread runs, lent to
+    /// the node being dispatched: one warm effect buffer and batch pool for
+    /// the whole event loop instead of one per node.
     dispatch_scratch: DispatchScratch,
+    /// Threads a batch's node rounds may run on (`available_parallelism`;
+    /// one runs every batch inline).
+    threads: usize,
+    /// Node rounds from which a batch runs on several threads.
+    parallel_rounds: usize,
+    /// The node rounds planned in the current batch, grouped by node.
+    rounds: Batch,
+    /// The group of every planned round, in batch order: the order their
+    /// outputs are routed in.
+    order: Vec<usize>,
+    /// The helper threads' scratches, kept warm between `run_until` calls.
+    helper_scratch: Vec<DispatchScratch>,
+    /// Scratch for the heap events of one instant (reused across batches).
+    due_events: Vec<EventPayload>,
     /// Scratch for bootstrap contact sampling (reused across joins).
     contacts_scratch: Vec<NodeDescriptor>,
     clients: BTreeMap<ClientId, SimClient>,
@@ -283,6 +329,12 @@ impl Simulation {
             wheel: TimerWheel::new(WHEEL_SLOTS, Duration::from_millis(1), SimTime::ZERO),
             timer_scratch: Vec::new(),
             dispatch_scratch: DispatchScratch::new(),
+            threads: thread::available_parallelism().map_or(1, NonZeroUsize::get),
+            parallel_rounds: PARALLEL_ROUNDS,
+            rounds: Batch::default(),
+            order: Vec::new(),
+            helper_scratch: Vec::new(),
+            due_events: Vec::new(),
             contacts_scratch: Vec::new(),
             clients: BTreeMap::new(),
             next_client_id: 1,
@@ -355,7 +407,7 @@ impl Simulation {
         self.nodes
             .get(id.as_u64() as usize)
             .expect("unknown node id")
-            .host
+            .host()
             .node()
     }
 
@@ -424,9 +476,12 @@ impl Simulation {
     }
 
     /// Appends a freshly built host to the slab and the alive set.
-    fn register_alive(&mut self, host: NodeHost<DefaultStore>) {
+    fn register_alive(&mut self, host: Host) {
         let index = self.nodes.len();
-        self.nodes.push(SimNode { host, alive: true });
+        self.nodes.push(SimNode {
+            host: Slot::Home(Box::new(host)),
+            alive: true,
+        });
         self.alive_pos.push(self.alive.len());
         self.alive.push(NodeId::new(index as u64));
         self.alive_epoch += 1;
@@ -652,13 +707,36 @@ impl Simulation {
         self.run_until(deadline);
     }
 
-    /// Runs the simulation until the virtual clock reaches `deadline`.
+    /// Runs the simulation until the virtual clock reaches `deadline`. A
+    /// deadline already passed dispatches nothing and leaves the clock where
+    /// it is.
     ///
     /// Wheel deadlines strictly earlier than the next heap event fire
     /// first; at equal instants the heap event wins, which keeps injected
     /// inputs (which travel on the heap, including injected timer firings)
     /// in FIFO submission order relative to each other.
+    ///
+    /// Events dispatch in batches: every heap event due at the current
+    /// instant is one batch, every wheel timer due at the current tick is
+    /// another. A batch's node rounds are grouped by node and run on every
+    /// core when the batch is large enough; their outputs are then routed on
+    /// the calling thread in event order (see the `batch` module), so a
+    /// seeded run is the same at any core count.
     pub fn run_until(&mut self, deadline: SimTime) {
+        if deadline < self.now {
+            return;
+        }
+        thread::scope(|scope| {
+            let helpers = self.threads.saturating_sub(1);
+            let mut pool = Pool::new(scope, helpers, mem::take(&mut self.helper_scratch));
+            self.run_batches(deadline, &mut pool);
+            self.helper_scratch = pool.finish();
+        });
+        self.now = deadline;
+        self.expire_clients();
+    }
+
+    fn run_batches(&mut self, deadline: SimTime, pool: &mut Pool<'_, '_>) {
         loop {
             let heap_next = self.queue.next_time().filter(|&t| t <= deadline);
             let wheel_limit = match heap_next {
@@ -670,62 +748,84 @@ impl Simulation {
                 None => Some(deadline),
             };
             if let Some(limit) = wheel_limit {
-                if self.fire_due_timers(limit) {
+                if self.fire_due_timers(limit, pool) {
                     continue;
                 }
             }
-            if heap_next.is_none() {
+            let Some(at) = heap_next else {
                 break;
-            }
-            let event = self.queue.pop().expect("peeked event exists");
-            self.now = event.at;
-            self.events_dispatched += 1;
-            self.dispatch(event.payload);
+            };
+            self.dispatch_instant(at, pool);
         }
-        self.now = deadline;
-        self.expire_clients();
     }
 
     /// Advances the wheel to the first tick with due deadlines at or before
-    /// `limit` and fires them. Returns `true` if anything fired.
-    fn fire_due_timers(&mut self, limit: SimTime) -> bool {
+    /// `limit` and fires them as one batch. Returns `true` if anything fired.
+    fn fire_due_timers(&mut self, limit: SimTime, pool: &mut Pool<'_, '_>) -> bool {
         let mut due = mem::take(&mut self.timer_scratch);
         due.clear();
         let fired = self.wheel.advance_next(limit, &mut due);
         for timer in &due {
-            // Dead nodes cancel their deadlines, so this only guards against
-            // a crash handled earlier in this same batch.
-            if !self.nodes.get(timer.host).is_some_and(|entry| entry.alive) {
-                continue;
-            }
-            self.now = self.now.max(timer.at);
-            self.events_dispatched += 1;
-            self.timer_fires += 1;
+            // Dead nodes cancel their deadlines, so planning refuses none of
+            // these; each handler runs at its own deadline's instant.
+            let now = self.now.max(timer.at);
             let node = NodeId::new(timer.host as u64);
-            self.dispatch_round(node, |host, now, routing| {
-                host.fire_timer(timer.kind, now, |output| routing.route(node, output));
-            });
+            if self.plan(node, now, RoundInput::Timer(timer.kind)) {
+                self.now = now;
+                self.events_dispatched += 1;
+                self.timer_fires += 1;
+            }
+            self.run_planned_if_alone(pool);
         }
+        self.run_planned(pool);
         self.timer_scratch = due;
         fired
     }
 
-    fn dispatch(&mut self, payload: EventPayload) {
+    /// Dispatches every heap event due at `at` as one batch. Node rounds
+    /// (deliveries and client submissions) are planned into groups; client
+    /// deliveries touch only client state, which no round reads, so they
+    /// run in place. Every other event reads or writes state the batch's
+    /// routing shares — the simulation RNG, the wheel's generations, the
+    /// alive set — so it first runs the rounds planned before it and then
+    /// runs alone.
+    fn dispatch_instant(&mut self, at: SimTime, pool: &mut Pool<'_, '_>) {
+        self.now = at;
+        let mut due = mem::take(&mut self.due_events);
+        while self.queue.next_time() == Some(at) {
+            due.push(self.queue.pop().expect("peeked event exists").payload);
+        }
+        self.events_dispatched += due.len() as u64;
+        for payload in due.drain(..) {
+            match RoundInput::from_event(payload) {
+                Ok((node, input)) => {
+                    let messages = input.messages();
+                    if self.plan(node, at, input) {
+                        self.messages_delivered += messages;
+                    }
+                }
+                Err(EventPayload::ClientDeliver { client, reply }) => {
+                    self.deliver_reply(client, reply);
+                }
+                Err(payload) => {
+                    self.run_planned(pool);
+                    self.dispatch_alone(payload);
+                }
+            }
+            self.run_planned_if_alone(pool);
+        }
+        self.run_planned(pool);
+        self.due_events = due;
+    }
+
+    /// Dispatches an event that splits its batch, after every round planned
+    /// before it ran and was routed. A node round it issues is planned as
+    /// the first of the batch's next rounds: a client library's request is
+    /// handled by its contact at submission time (the client-perceived
+    /// latency still includes the network, as replies travel the queue).
+    fn dispatch_alone(&mut self, payload: EventPayload) {
+        let now = self.now;
         match payload {
-            EventPayload::Deliver { from, to, message } => {
-                self.deliver_to_node(from, to, std::iter::once(message));
-            }
-            EventPayload::DeliverBatch {
-                from,
-                to,
-                mut messages,
-            } => {
-                self.deliver_to_node(from, to, messages.drain(..));
-                // The spent buffer goes back to the event loop's batch pool,
-                // which every node's rounds draw from: a warmed event loop
-                // recycles rather than allocates.
-                self.dispatch_scratch.recycle_batch(messages);
-            }
             EventPayload::Timer {
                 node,
                 kind,
@@ -740,30 +840,8 @@ impl Simulation {
                 }
                 // A dead node's timer is simply not re-armed (the re-arm is
                 // an effect of handling the timer, which dead nodes never do).
-                if self.dispatch_round(node, |host, now, routing| {
-                    host.fire_timer(kind, now, |output| routing.route(node, output));
-                }) {
+                if self.plan(node, now, RoundInput::Timer(kind)) {
                     self.timer_fires += 1;
-                }
-            }
-            EventPayload::ClientSubmit {
-                client,
-                contact,
-                request,
-            } => {
-                self.deliver_client_request(client, contact, request);
-            }
-            EventPayload::ClientDeliver { client, reply } => {
-                if self.env_clients.contains(&client) {
-                    // Environment-injected traffic: surfaced raw through
-                    // drain_effects, never absorbed by a client library.
-                    self.reply_log.push(reply);
-                } else if let Some(entry) = self.clients.get_mut(&client) {
-                    if let Some(done) = entry.library.on_reply(&reply, self.now) {
-                        self.completed.push(done);
-                    }
-                } else {
-                    self.reply_log.push(reply);
                 }
             }
             EventPayload::ClientPut {
@@ -772,24 +850,24 @@ impl Simulation {
                 version,
                 value,
             } => {
-                let Some(issued) = self.client_issue(client, |library, now, rng| {
+                if let Some(issued) = self.client_issue(client, |library, now, rng| {
                     library.put(key, version, value, now, rng)
-                }) else {
-                    return;
-                };
-                self.deliver_client_request(client, issued.contact, issued.request);
+                }) {
+                    let request = issued.request;
+                    self.plan(issued.contact, now, RoundInput::Client { client, request });
+                }
             }
             EventPayload::ClientGet {
                 client,
                 key,
                 version,
             } => {
-                let Some(issued) = self.client_issue(client, |library, now, rng| {
+                if let Some(issued) = self.client_issue(client, |library, now, rng| {
                     library.get(key, version, now, rng)
-                }) else {
-                    return;
-                };
-                self.deliver_client_request(client, issued.contact, issued.request);
+                }) {
+                    let request = issued.request;
+                    self.plan(issued.contact, now, RoundInput::Client { client, request });
+                }
             }
             EventPayload::NodeCrash { node } => {
                 self.kill(node);
@@ -798,6 +876,26 @@ impl Simulation {
                 let config = self.default_node_config;
                 let _ = self.spawn_node(config, capacity);
             }
+            EventPayload::Deliver { .. }
+            | EventPayload::DeliverBatch { .. }
+            | EventPayload::ClientSubmit { .. }
+            | EventPayload::ClientDeliver { .. } => {
+                unreachable!("node rounds and client deliveries do not split a batch")
+            }
+        }
+    }
+
+    fn deliver_reply(&mut self, client: ClientId, reply: ClientReply) {
+        if self.env_clients.contains(&client) {
+            // Environment-injected traffic: surfaced raw through
+            // drain_effects, never absorbed by a client library.
+            self.reply_log.push(reply);
+        } else if let Some(entry) = self.clients.get_mut(&client) {
+            if let Some(done) = entry.library.on_reply(&reply, self.now) {
+                self.completed.push(done);
+            }
+        } else {
+            self.reply_log.push(reply);
         }
     }
 
@@ -846,86 +944,99 @@ impl Simulation {
         }
     }
 
-    /// Shared delivery path for single messages and per-destination batches
-    /// (one transport unit either way): skips dead nodes, counts delivered
-    /// messages and routes the whole dispatch round's effects through the
-    /// simulated network.
-    fn deliver_to_node<I>(&mut self, from: NodeId, to: NodeId, messages: I)
-    where
-        I: ExactSizeIterator<Item = Message>,
-    {
-        let count = messages.len() as u64;
-        if self.dispatch_round(to, |host, now, routing| {
-            host.deliver_batch(from, messages, now, |output| routing.route(to, output));
-        }) {
-            self.messages_delivered += count;
-        }
-    }
-
-    fn deliver_client_request(
-        &mut self,
-        client: ClientId,
-        contact: NodeId,
-        request: ClientRequest,
-    ) {
-        // The contact node handles the request at submission time; the
-        // client-perceived latency still includes the network because replies
-        // travel through the queue.
-        self.dispatch_round(contact, |host, now, routing| {
-            host.submit_client_request(client, request, now, |output| {
-                routing.route(contact, output);
-            });
-        });
-    }
-
-    /// One dispatch round of live node `node` at the current instant: lends
-    /// it the event loop's dispatch scratch, lets `round` feed it with the
-    /// effects routed through the simulated network, and folds the round's
-    /// injected-fault tally into the node's stats. Returns `false`, having
-    /// run nothing, if the node is unknown or dead.
-    fn dispatch_round(
-        &mut self,
-        node: NodeId,
-        round: impl FnOnce(&mut NodeHost<DefaultStore>, SimTime, &mut Routing<'_>),
-    ) -> bool {
-        let Self {
-            nodes,
-            queue,
-            rng,
-            config,
-            faults,
-            faulty,
-            messages_dropped,
-            wheel,
-            dispatch_scratch,
-            now,
-            ..
-        } = self;
-        let Some(entry) = nodes
-            .get_mut(node.as_u64() as usize)
-            .filter(|entry| entry.alive)
-        else {
+    /// Plans one round of live node `node` at `now` into the node's group
+    /// of the current batch, opening the group (and lending it the host) on
+    /// the node's first round. Returns `false`, planning nothing, if the
+    /// node is unknown or dead.
+    fn plan(&mut self, node: NodeId, now: SimTime, input: RoundInput) -> bool {
+        let index = node.as_u64() as usize;
+        let Some(entry) = self.nodes.get_mut(index).filter(|entry| entry.alive) else {
+            if let RoundInput::DeliverBatch { messages, .. } = input {
+                self.dispatch_scratch.recycle_batch(messages);
+            }
             return false;
         };
+        let group = match entry.host {
+            Slot::Lent { group } => group,
+            Slot::Home(_) => {
+                let lent = Slot::Lent { group: usize::MAX };
+                let Slot::Home(host) = mem::replace(&mut entry.host, lent) else {
+                    unreachable!("matched a home slot");
+                };
+                let group = self.rounds.open(index, host);
+                entry.host = Slot::Lent { group };
+                group
+            }
+        };
+        self.rounds.plan(group, now, input);
+        self.order.push(group);
+        true
+    }
+
+    /// With one thread, batching gains nothing: each event's round runs and
+    /// is routed before the next event, one event at a time.
+    fn run_planned_if_alone(&mut self, pool: &mut Pool<'_, '_>) {
+        if self.threads == 1 {
+            self.run_planned(pool);
+        }
+    }
+
+    /// Runs every planned round — on every thread when there are enough of
+    /// them to pay for the handoff — sends the hosts home, then routes each
+    /// round's captured outputs on this thread, in plan order.
+    fn run_planned(&mut self, pool: &mut Pool<'_, '_>) {
+        if self.order.is_empty() {
+            return;
+        }
+        let mut rounds = mem::take(&mut self.rounds);
+        let parallel = self.order.len() >= self.parallel_rounds;
+        pool.run(&mut rounds, &mut self.dispatch_scratch, parallel);
+        for (index, host) in rounds.hosts() {
+            self.nodes[index].host = Slot::Home(host);
+        }
+        let mut order = mem::take(&mut self.order);
+        for group in order.drain(..) {
+            let (node, now, outputs) = rounds.route_next(group);
+            self.route_round(node, now, outputs);
+        }
+        rounds.clear();
+        self.order = order;
+        self.rounds = rounds;
+    }
+
+    /// Routes one round's outputs through the simulated network and the
+    /// wheel, then folds the round's injected-fault tally into its node.
+    fn route_round(&mut self, node: usize, now: SimTime, outputs: impl Iterator<Item = Output>) {
         let mut injected = InjectedCounters::default();
         let mut routing = Routing {
-            queue,
-            rng,
-            network: &config.network,
-            faults,
-            faulty,
+            queue: &mut self.queue,
+            rng: &mut self.rng,
+            network: &self.config.network,
+            faults: &self.faults,
+            faulty: &self.faulty,
             injected: &mut injected,
-            messages_dropped,
-            wheel,
-            now: *now,
+            messages_dropped: &mut self.messages_dropped,
+            wheel: &mut self.wheel,
+            now,
         };
-        entry.host.swap_scratch(dispatch_scratch);
-        round(&mut entry.host, *now, &mut routing);
-        entry.host.swap_scratch(dispatch_scratch);
-        if !injected.is_empty() {
-            entry.host.node_mut().record_injected_faults(&injected);
+        let from = NodeId::new(node as u64);
+        for output in outputs {
+            routing.route(from, output);
         }
-        true
+        if !injected.is_empty() {
+            self.nodes[node]
+                .host_mut()
+                .node_mut()
+                .record_injected_faults(&injected);
+        }
+    }
+
+    /// Forces how batches run: on `threads` threads once a batch holds
+    /// `parallel_rounds` node rounds (one thread runs every batch inline).
+    #[cfg(test)]
+    fn force_dispatch(&mut self, threads: usize, parallel_rounds: usize) {
+        self.threads = threads;
+        self.parallel_rounds = parallel_rounds;
     }
 
     fn expire_clients(&mut self) {
@@ -962,7 +1073,7 @@ impl Simulation {
         } = self;
         contacts_scratch.clear();
         let describe = |nodes: &[SimNode], id: NodeId| {
-            let node = nodes[id.as_u64() as usize].host.node();
+            let node = nodes[id.as_u64() as usize].host().node();
             NodeDescriptor::new(id, node.profile()).with_slice(node.slice())
         };
         if alive.len() <= BOOTSTRAP_CONTACTS {
@@ -994,7 +1105,7 @@ impl Simulation {
         self.nodes
             .iter()
             .filter(|entry| entry.alive)
-            .map(|entry| *entry.host.node().stats())
+            .map(|entry| *entry.host().node().stats())
             .collect()
     }
 
@@ -1009,7 +1120,7 @@ impl Simulation {
     pub fn replication_factor(&self, key: Key) -> usize {
         self.nodes
             .iter()
-            .filter(|entry| entry.alive && entry.host.node().store().get_latest(key).is_some())
+            .filter(|entry| entry.alive && entry.host().node().store().get_latest(key).is_some())
             .count()
     }
 
@@ -1020,7 +1131,7 @@ impl Simulation {
             .iter()
             .filter(|entry| entry.alive)
             .filter_map(|entry| {
-                let node = entry.host.node();
+                let node = entry.host().node();
                 node.slice().map(|slice| (node.id(), slice))
             })
     }
@@ -1143,7 +1254,7 @@ impl Environment for Simulation {
             .nodes
             .get_mut(index)
             .expect("spec nodes are registered");
-        entry.host = NodeHost::new(fresh);
+        entry.host = Slot::Home(Box::new(NodeHost::new(fresh)));
         if !entry.alive {
             entry.alive = true;
             self.alive_pos[index] = self.alive.len();
@@ -1218,9 +1329,9 @@ mod tests {
         assert!(sim.dispatch_scratch.is_empty());
         for entry in &sim.nodes {
             assert!(
-                !entry.host.scratch().is_allocated(),
+                !entry.host().scratch().is_allocated(),
                 "node {} grew a scratch of its own",
-                entry.host.node().id()
+                entry.host().node().id()
             );
         }
     }
@@ -1667,6 +1778,169 @@ mod tests {
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
+    }
+
+    #[test]
+    fn a_deadline_already_passed_leaves_the_clock_alone() {
+        let mut sim = small_sim(8, 2);
+        sim.run_for(Duration::from_secs(10));
+        let events = sim.events_dispatched();
+        sim.run_until(SimTime::from_millis(5_000));
+        assert_eq!(sim.now(), SimTime::from_millis(10_000));
+        assert_eq!(sim.events_dispatched(), events, "nothing dispatched");
+        sim.run_for(Duration::from_secs(1));
+        assert_eq!(sim.now(), SimTime::from_millis(11_000));
+        assert!(sim.events_dispatched() > events);
+    }
+
+    /// Everything one seeded run can be told apart by.
+    #[derive(Debug, PartialEq)]
+    struct RunRecord {
+        completed: Vec<CompletedOperation>,
+        replies: Vec<ClientReply>,
+        stats: Vec<NodeStats>,
+        alive: Vec<NodeId>,
+        events: u64,
+        timer_fires: u64,
+        delivered: u64,
+        dropped: u64,
+        now: SimTime,
+    }
+
+    /// A seeded scenario whose instants mix node deliveries with every
+    /// event that splits a batch: crashes, joins, scheduled puts and gets,
+    /// injected timer firings. Latencies start at 0 ms, so a round's sends
+    /// land in its own instant, and injected duplication and network loss
+    /// make the routing draw from the simulation RNG and fold fault tallies.
+    fn batched_scenario(threads: usize, parallel_rounds: usize) -> RunRecord {
+        use dataflasks_core::{DisseminationPhase, PutRequest, ReplyBody};
+        use dataflasks_types::{RequestId, StoredObject};
+
+        let mut sim = Simulation::new(SimConfig {
+            network: NetworkConfig {
+                min_latency: Duration::ZERO,
+                max_latency: Duration::from_millis(3),
+                drop_probability: 0.02,
+            },
+            seed: 0xBA7C,
+            client_timeout: Duration::from_secs(3),
+        });
+        sim.force_dispatch(threads, parallel_rounds);
+        sim.spawn_cluster(48, NodeConfig::for_system_size(48, 3));
+        let client = sim.add_client();
+        sim.run_for(Duration::from_secs(4));
+        sim.apply_nemesis_op(&NemesisOp::Duplicate {
+            links: None,
+            p: 0.2,
+        });
+        let put = |sequence: u64, name: &str| {
+            Message::Put(Arc::new(PutRequest {
+                id: RequestId::new(90, sequence),
+                client: 90,
+                object: StoredObject::new(
+                    Key::from_user_key(name),
+                    Version::new(1),
+                    Value::from_bytes(b"v"),
+                ),
+                phase: DisseminationPhase::Global,
+                ttl: 4,
+            }))
+        };
+        let key = |i: u64| Key::from_user_key(&format!("batched-{i}"));
+        let mut replies = Vec::new();
+        for round in 0..3u64 {
+            // One instant: deliveries around a crash of their target, a join,
+            // a put, an injected timer, an injected request and a get.
+            let at = sim.now();
+            let victim = NodeId::new(3 + round);
+            sim.deliver_message(NodeId::new(0), victim, put(10 * round, "before-crash"));
+            sim.deliver_message(
+                NodeId::new(1),
+                NodeId::new(2),
+                put(10 * round + 1, "bystander"),
+            );
+            sim.schedule_crash(at, victim);
+            sim.deliver_message(NodeId::new(4), victim, put(10 * round + 2, "after-crash"));
+            sim.schedule_join(at, 5_000);
+            sim.schedule_put(
+                at,
+                client,
+                key(round),
+                Version::new(1),
+                Value::from_bytes(b"x"),
+            );
+            Environment::fire_timer(&mut sim, NodeId::new(7 + round), TimerKind::AntiEntropy);
+            sim.submit_client_request(
+                91,
+                NodeId::new(8 + round),
+                ClientRequest::Get {
+                    id: RequestId::new(91, round),
+                    key: key(0),
+                    version: None,
+                },
+            );
+            sim.schedule_get(at, client, key(round.saturating_sub(1)), None);
+            sim.deliver_message(
+                NodeId::new(5),
+                NodeId::new(9),
+                put(10 * round + 3, "after-all"),
+            );
+            // Client traffic and churn spread over instants busy with gossip.
+            let start = at + Duration::from_millis(1);
+            for i in 0..40 {
+                let when = start + Duration::from_millis(37 * i);
+                sim.schedule_put(
+                    when,
+                    client,
+                    key(10 + i),
+                    Version::new(1),
+                    Value::from_bytes(b"y"),
+                );
+                sim.schedule_get(when + Duration::from_millis(500), client, key(10 + i), None);
+            }
+            sim.schedule_churn(start, start + Duration::from_secs(2), 2, 2);
+            replies.extend(sim.drain_effects(Duration::from_secs(4)));
+        }
+        assert!(
+            replies
+                .iter()
+                .any(|reply| matches!(reply.body, ReplyBody::PutAck { .. })),
+            "the injected puts are disseminated"
+        );
+        RunRecord {
+            completed: sim.completed_operations().to_vec(),
+            replies,
+            stats: (0..sim.nodes.len() as u64)
+                .map(|id| *sim.node(NodeId::new(id)).stats())
+                .collect(),
+            alive: sim.alive_nodes().to_vec(),
+            events: sim.events_dispatched(),
+            timer_fires: sim.timer_fires(),
+            delivered: sim.messages_delivered(),
+            dropped: sim.messages_dropped(),
+            now: sim.now(),
+        }
+    }
+
+    #[test]
+    fn parallel_dispatch_runs_the_same_run_as_inline_dispatch() {
+        let inline = batched_scenario(1, usize::MAX);
+        assert!(inline.completed.len() > 200, "the client's operations ran");
+        assert!(inline.dropped > 0, "the network dropped messages");
+        let injected: u64 = inline
+            .stats
+            .iter()
+            .map(|stats| stats.frames_duplicated_injected)
+            .sum();
+        assert!(injected > 0, "injected duplicates were folded into nodes");
+        // Every batch on several threads, however few rounds it holds.
+        for threads in [2, 3] {
+            let parallel = batched_scenario(threads, 1);
+            assert!(
+                parallel == inline,
+                "{threads} threads diverged from inline dispatch"
+            );
+        }
     }
 
     #[test]
