@@ -164,94 +164,10 @@ fn bench_sharded_vs_unsharded(c: &mut Criterion) {
     group.finish();
 }
 
-/// Batched vs per-message delivery through the simulator's event queue: one
-/// dispatch round emitting `per_dest` messages to each of `dests`
-/// destinations, routed either as one queue entry per message or — as the
-/// [`EffectBuffer`] groups them — as one entry per destination.
-fn bench_batched_delivery(c: &mut Criterion) {
-    use dataflasks::core::Message;
-    use dataflasks::sim::{EventPayload, EventQueue};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use std::sync::Arc;
-
-    let mut group = c.benchmark_group("env/delivery");
-    group.warm_up_time(std::time::Duration::from_secs(1));
-    group.measurement_time(std::time::Duration::from_secs(2));
-    let dests = 8u64;
-    let per_dest = 4usize;
-    // A shared template: emitting clones an Arc, exactly like a relay.
-    let template = Message::AntiEntropyDigest {
-        digest: Arc::new(StoreDigest::new()),
-        range: KeyRange::FULL,
-    };
-    let fill = |emit: &mut dyn FnMut(NodeId, Message)| {
-        for _ in 0..per_dest {
-            for to in 0..dests {
-                emit(NodeId::new(to), template.clone());
-            }
-        }
-    };
-    // The real per-transport-unit routing cost: one loss decision and one
-    // latency sample per queue entry, exactly like `Simulation`'s routing.
-    let network = NetworkConfig::default();
-    let route = |queue: &mut EventQueue, rng: &mut StdRng, output: Output| match output {
-        Output::Send { to, message } if !network.drops(rng) => {
-            let latency = network.sample_latency(rng);
-            queue.schedule(
-                SimTime::ZERO + latency,
-                EventPayload::Deliver {
-                    from: NodeId::new(99),
-                    to,
-                    message,
-                },
-            );
-        }
-        Output::SendBatch { to, messages } if !network.drops(rng) => {
-            let latency = network.sample_latency(rng);
-            queue.schedule(
-                SimTime::ZERO + latency,
-                EventPayload::DeliverBatch {
-                    from: NodeId::new(99),
-                    to,
-                    messages,
-                },
-            );
-        }
-        _ => {}
-    };
-    group.bench_function("unbatched_route_8x4", |b| {
-        let mut units: Vec<Output> = Vec::new();
-        let mut queue = EventQueue::new();
-        let mut rng = StdRng::seed_from_u64(7);
-        b.iter(|| {
-            fill(&mut |to, message| units.push(Output::Send { to, message }));
-            for output in units.drain(..) {
-                route(&mut queue, &mut rng, output);
-            }
-            while queue.pop().is_some() {}
-        });
-    });
-    group.bench_function("batched_route_8x4", |b| {
-        let mut fx = EffectBuffer::new();
-        let mut queue = EventQueue::new();
-        let mut rng = StdRng::seed_from_u64(7);
-        b.iter(|| {
-            fill(&mut |to, message| fx.emit_send(to, message));
-            for output in fx.drain() {
-                route(&mut queue, &mut rng, output);
-            }
-            while queue.pop().is_some() {}
-        });
-    });
-    group.finish();
-}
-
 criterion_group!(
     store,
     bench_memory_store_put_get,
     bench_anti_entropy_digest,
-    bench_sharded_vs_unsharded,
-    bench_batched_delivery
+    bench_sharded_vs_unsharded
 );
 criterion_main!(store);

@@ -222,7 +222,6 @@ fn run_sim_once(scenario: &'static str, nodes: usize, seed: u64) -> (RowMetrics,
     let mut sim = Simulation::new(SimConfig {
         seed,
         client_timeout: Duration::from_secs(10),
-        ..SimConfig::default()
     });
     sim.spawn_cluster(nodes, config);
     sim.run_for(Duration::from_secs(30)); // let slicing settle

@@ -353,7 +353,6 @@ fn run_row(args: &Args, nodes: usize) -> Row {
     let mut sim = Simulation::new(SimConfig {
         seed: args.seed ^ ((nodes as u64) << 32),
         client_timeout: Duration::from_secs(5),
-        ..SimConfig::default()
     });
 
     let spawn_start = Instant::now();

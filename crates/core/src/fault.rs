@@ -70,12 +70,6 @@ impl InjectedCounters {
         self.frames_dropped == 0 && self.frames_duplicated == 0 && self.partition_refusals == 0
     }
 
-    /// Bumps the counter matching `verdict` by one (no-op for
-    /// [`LinkVerdict::Deliver`]).
-    pub fn record(&mut self, verdict: LinkVerdict) {
-        self.record_messages(verdict, 1);
-    }
-
     /// Bumps the counter matching `verdict` by the number of protocol
     /// messages the affected transport unit carried (no-op for
     /// [`LinkVerdict::Deliver`]).
@@ -466,12 +460,12 @@ mod tests {
     fn injected_counters_record_verdicts() {
         let mut counters = InjectedCounters::default();
         assert!(counters.is_empty());
-        counters.record(LinkVerdict::Deliver);
+        counters.record_messages(LinkVerdict::Deliver, 1);
         assert!(counters.is_empty());
-        counters.record(LinkVerdict::DropLoss);
-        counters.record(LinkVerdict::Duplicate);
-        counters.record(LinkVerdict::DropPartition);
-        counters.record(LinkVerdict::DropPartition);
+        counters.record_messages(LinkVerdict::DropLoss, 1);
+        counters.record_messages(LinkVerdict::Duplicate, 1);
+        counters.record_messages(LinkVerdict::DropPartition, 1);
+        counters.record_messages(LinkVerdict::DropPartition, 1);
         assert_eq!(counters.frames_dropped, 1);
         assert_eq!(counters.frames_duplicated, 1);
         assert_eq!(counters.partition_refusals, 2);

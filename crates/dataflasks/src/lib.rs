@@ -73,7 +73,7 @@ pub mod prelude {
         AsyncCluster, AsyncClusterConfig, ReassemblyBuffer, SocketCluster, SocketClusterConfig,
         SocketTransportKind,
     };
-    pub use dataflasks_sim::{ClusterReport, NetworkConfig, SimConfig, Simulation};
+    pub use dataflasks_sim::{ClusterReport, SimConfig, Simulation};
     pub use dataflasks_slicing::OrderedSlicer;
     pub use dataflasks_store::{DataStore, MemoryStore, ShardedStore, StoreDigest};
     pub use dataflasks_types::{

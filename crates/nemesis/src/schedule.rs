@@ -8,12 +8,11 @@ use dataflasks_types::{Duration, NodeId};
 
 /// Which latency distribution the network should serve.
 ///
-/// The simulator's `FaultyNetwork` interposer implements each shape
-/// deterministically; real runtimes cannot swap their physical latency and
-/// skip these ops.
+/// The simulator samples each shape deterministically; real runtimes cannot
+/// swap their physical latency and skip these ops.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LatencyShape {
-    /// Restore the backend's configured baseline latency.
+    /// Restore the baseline latency: the simulator's fixed uniform 5–50 ms.
     Baseline,
     /// Uniform latency in `[min, max]`.
     Uniform {

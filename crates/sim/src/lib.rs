@@ -4,9 +4,14 @@
 //! that runs the real (Java) application code over a simulated network. This
 //! crate is the Rust counterpart used by every experiment in this repository:
 //! it executes the *real* node state machines from `dataflasks-core` over a
-//! simulated network with configurable latency and loss, a virtual clock and
-//! deterministic (seeded) randomness, so thousands of nodes run in a single
-//! process and every run is exactly reproducible.
+//! simulated network, a virtual clock and deterministic (seeded)
+//! randomness, so thousands of nodes run in a single process and every run
+//! is exactly reproducible. The network has one model: link faults (loss,
+//! duplication, partitions) come from the shared
+//! [`FaultPlan`](dataflasks_core::fault::FaultPlan) every backend replays,
+//! and latency is a nemesis
+//! [`LatencyShape`](dataflasks_nemesis::LatencyShape) — by default the
+//! baseline, uniform in 5–50 ms — swapped with [`Simulation::apply_nemesis_op`].
 //!
 //! The event loop dispatches in batches: every heap event due at the
 //! current instant is one batch, every wheel timer due at the current tick
@@ -21,7 +26,7 @@
 //! run alone, in place.
 //!
 //! * [`Simulation`] — owns the nodes, clients, clock and event queue,
-//! * [`SimConfig`] / [`NetworkConfig`] — latency, loss, seeds, timeouts,
+//! * [`SimConfig`] — the seed and the client timeout,
 //! * [`ClusterReport`] / [`Distribution`] — the per-node message statistics
 //!   (the metric reported by the paper's Figures 3 and 4), plus churn and
 //!   replication measurements used by the extension experiments.
@@ -45,10 +50,9 @@
 #![warn(missing_docs)]
 
 mod batch;
-pub mod metrics;
-pub mod network;
-pub mod simulation;
+mod metrics;
+mod network;
+mod simulation;
 
 pub use metrics::{ClusterReport, Distribution};
-pub use network::{EventPayload, EventQueue, FaultyNetwork, LatencyModel, NetworkConfig};
 pub use simulation::{SimConfig, Simulation};

@@ -1,4 +1,8 @@
-//! The simulated network: latency, loss and the event queue.
+//! The simulated network's timing and the event queue.
+//!
+//! Link verdicts (partitions, loss, duplication) come from the shared
+//! [`FaultPlan`](dataflasks_core::fault::FaultPlan), so they replay on
+//! every backend; this module only bends virtual time.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -7,167 +11,41 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use dataflasks_core::{ClientId, ClientReply, Message, TimerKind};
+use dataflasks_nemesis::LatencyShape;
 use dataflasks_types::{Duration, NodeId, SimTime};
 
-/// Parameters of the simulated network.
+/// The latency [`LatencyShape::Baseline`] serves: uniform in 5–50 ms.
+const BASELINE_MIN: Duration = Duration::from_millis(5);
+const BASELINE_MAX: Duration = Duration::from_millis(50);
+
+/// The simulator half of the nemesis timing faults: the latency shape in
+/// force and probabilistic reordering. Only virtual time can be bent
+/// deterministically, so these two are simulator-only.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NetworkConfig {
-    /// Smallest one-way message latency.
-    pub min_latency: Duration,
-    /// Largest one-way message latency (latencies are uniform in between).
-    pub max_latency: Duration,
-    /// Probability that a message is silently lost.
-    pub drop_probability: f64,
+pub(crate) struct Timing {
+    /// Latency distribution of every delivery.
+    pub(crate) latency: LatencyShape,
+    /// Probability a delivery is delayed past later traffic.
+    pub(crate) reorder_probability: f64,
+    /// Upper bound of the extra reordering delay.
+    pub(crate) reorder_max_delay: Duration,
 }
 
-impl Default for NetworkConfig {
+impl Default for Timing {
     fn default() -> Self {
         Self {
-            min_latency: Duration::from_millis(5),
-            max_latency: Duration::from_millis(50),
-            drop_probability: 0.0,
+            latency: LatencyShape::Baseline,
+            reorder_probability: 0.0,
+            reorder_max_delay: Duration::ZERO,
         }
     }
 }
 
-impl NetworkConfig {
-    /// A perfectly reliable network with the default latency range.
-    #[must_use]
-    pub fn reliable() -> Self {
-        Self::default()
-    }
-
-    /// A lossy network dropping the given fraction of messages.
-    #[must_use]
-    pub fn lossy(drop_probability: f64) -> Self {
-        Self {
-            drop_probability,
-            ..Self::default()
-        }
-    }
-
-    /// Draws a one-way latency for the next message.
-    pub fn sample_latency<R: Rng>(&self, rng: &mut R) -> Duration {
-        let min = self.min_latency.as_millis();
-        let max = self.max_latency.as_millis().max(min);
-        if min == max {
-            Duration::from_millis(min)
-        } else {
-            Duration::from_millis(rng.gen_range(min..=max))
-        }
-    }
-
-    /// Returns `true` if the next message should be dropped.
-    pub fn drops<R: Rng>(&self, rng: &mut R) -> bool {
-        self.drop_probability > 0.0 && rng.gen::<f64>() < self.drop_probability
-    }
-}
-
-/// A latency distribution the [`FaultyNetwork`] interposer can swap in over
-/// the configured uniform baseline — the simulator half of the nemesis
-/// `LatencySwap` op.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LatencyModel {
-    /// Uniform latency in `[min, max]`.
-    Uniform {
-        /// Minimum one-way latency.
-        min: Duration,
-        /// Maximum one-way latency.
-        max: Duration,
-    },
-    /// Log-normal latency: heavy-tailed around a median (the shape WAN
-    /// paths exhibit), clamped to `[1 ms, 10 s]`.
-    LogNormal {
-        /// Median one-way latency.
-        median: Duration,
-        /// Log-space standard deviation.
-        sigma: f64,
-    },
-    /// Mostly-fast latency with occasional spikes.
-    Spike {
-        /// Latency of the common case.
-        base: Duration,
-        /// Latency of a spike.
-        spike: Duration,
-        /// Probability a given delivery hits the spike.
-        spike_probability: f64,
-    },
-}
-
-impl LatencyModel {
-    /// Draws a one-way latency from the model.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> Duration {
-        match *self {
-            Self::Uniform { min, max } => {
-                let lo = min.as_millis();
-                let hi = max.as_millis().max(lo);
-                if lo == hi {
-                    Duration::from_millis(lo)
-                } else {
-                    Duration::from_millis(rng.gen_range(lo..=hi))
-                }
-            }
-            Self::LogNormal { median, sigma } => {
-                // Box–Muller from two uniforms; exp(sigma·z) scales the
-                // median multiplicatively, so half the draws land below it.
-                // `1 - u` keeps ln's argument in (0, 1].
-                let u1: f64 = 1.0 - rng.gen::<f64>();
-                let u2: f64 = rng.gen();
-                let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-                let millis = (median.as_millis() as f64 * (sigma * z).exp()).round();
-                Duration::from_millis((millis as u64).clamp(1, 10_000))
-            }
-            Self::Spike {
-                base,
-                spike,
-                spike_probability,
-            } => {
-                if rng.gen::<f64>() < spike_probability {
-                    spike
-                } else {
-                    base
-                }
-            }
-        }
-    }
-}
-
-/// The simulator's nemesis interposer for the faults that are *timing*,
-/// not link verdicts: latency-distribution swaps and probabilistic
-/// reordering. Link-level faults (partitions, loss, duplication) live in
-/// the shared [`FaultPlan`](dataflasks_core::fault::FaultPlan) so they
-/// replay on every backend; these two are simulator-only because only
-/// virtual time can be bent deterministically.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct FaultyNetwork {
-    /// Latency model overriding the configured uniform baseline, if any.
-    pub latency: Option<LatencyModel>,
-    /// Probability a delivery is delayed past later traffic.
-    pub reorder_probability: f64,
-    /// Upper bound of the extra reordering delay.
-    pub reorder_max_delay: Duration,
-}
-
-impl FaultyNetwork {
-    /// Returns `true` when no interposition is configured (the default).
-    #[must_use]
-    pub fn is_inert(&self) -> bool {
-        self.latency.is_none() && self.reorder_probability <= 0.0
-    }
-
-    /// Restores the baseline: no latency override, no reordering.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
-
-    /// Draws the delivery latency for one transport unit: the override
-    /// model (or `base`'s uniform range), plus the reordering delay when
-    /// that fault fires.
-    pub fn sample_latency<R: Rng>(&self, base: &NetworkConfig, rng: &mut R) -> Duration {
-        let mut latency = match &self.latency {
-            Some(model) => model.sample(rng),
-            None => base.sample_latency(rng),
-        };
+impl Timing {
+    /// Draws the delivery latency for one transport unit: the latency
+    /// shape's sample, plus the reordering delay when that fault fires.
+    pub(crate) fn sample_latency(&self, rng: &mut StdRng) -> Duration {
+        let mut latency = sample(self.latency, rng);
         if self.reorder_probability > 0.0
             && self.reorder_max_delay > Duration::ZERO
             && rng.gen::<f64>() < self.reorder_probability
@@ -179,104 +57,114 @@ impl FaultyNetwork {
     }
 }
 
+/// Draws a one-way latency from `shape`.
+fn sample(shape: LatencyShape, rng: &mut StdRng) -> Duration {
+    match shape {
+        LatencyShape::Baseline => uniform(BASELINE_MIN, BASELINE_MAX, rng),
+        LatencyShape::Uniform { min, max } => uniform(min, max, rng),
+        LatencyShape::LogNormal { median, sigma } => {
+            // Box–Muller from two uniforms; exp(sigma·z) scales the median
+            // multiplicatively, so half the draws land below it. `1 - u`
+            // keeps ln's argument in (0, 1]. Clamped to [1 ms, 10 s].
+            let u1: f64 = 1.0 - rng.gen::<f64>();
+            let u2: f64 = rng.gen();
+            let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+            let millis = (median.as_millis() as f64 * (sigma * z).exp()).round();
+            Duration::from_millis((millis as u64).clamp(1, 10_000))
+        }
+        LatencyShape::Spike {
+            base,
+            spike,
+            spike_probability,
+        } => {
+            if rng.gen::<f64>() < spike_probability {
+                spike
+            } else {
+                base
+            }
+        }
+    }
+}
+
+/// Uniform latency in `[min, max]`; equal bounds draw nothing.
+fn uniform(min: Duration, max: Duration, rng: &mut StdRng) -> Duration {
+    let lo = min.as_millis();
+    let hi = max.as_millis().max(lo);
+    if lo == hi {
+        Duration::from_millis(lo)
+    } else {
+        Duration::from_millis(rng.gen_range(lo..=hi))
+    }
+}
+
 /// Everything that can happen inside the simulation.
 #[derive(Debug, Clone)]
-pub enum EventPayload {
+pub(crate) enum EventPayload {
     /// A node-to-node message arrives.
     Deliver {
-        /// Sender of the message.
         from: NodeId,
-        /// Receiver of the message.
         to: NodeId,
-        /// The message itself.
         message: Message,
     },
     /// A batch of node-to-node messages arrives as one transport unit (the
     /// queue-side form of [`dataflasks_core::Output::SendBatch`]): one event,
-    /// one latency sample and one loss decision for the whole batch.
+    /// one latency sample and one link verdict for the whole batch.
     DeliverBatch {
-        /// Sender of the messages.
         from: NodeId,
-        /// Receiver of the messages.
         to: NodeId,
-        /// The messages, delivered in order.
         messages: Vec<Message>,
     },
     /// An out-of-band timer firing injected through the `Environment`
     /// interface. Periodic protocol timers never travel through the event
     /// heap — they live in the simulation's timer wheel — so this payload
     /// only carries injected firings, keeping them FIFO-ordered with other
-    /// injected inputs.
+    /// injected inputs. `generation` is the stamp drawn from the wheel when
+    /// the firing was injected: exactly one chain is live per node and
+    /// kind, so an older stamp is dropped on dispatch.
     Timer {
-        /// Node whose timer fires.
         node: NodeId,
-        /// Which protocol activity runs.
         kind: TimerKind,
-        /// Generation stamp drawn from the wheel when the firing was
-        /// injected (superseding the pending deadline). Exactly one chain is
-        /// live per node and kind: events stamped with an older generation
-        /// are dropped on dispatch.
         generation: u64,
     },
-    /// A client operation is submitted through an explicit contact node
+    /// A client operation submitted through an explicit contact node
     /// (injected through the `Environment` interface).
     ClientSubmit {
-        /// The issuing client.
         client: ClientId,
-        /// The contact node that handles the request.
         contact: NodeId,
-        /// The operation.
         request: dataflasks_core::ClientRequest,
     },
     /// A reply arrives at a client library.
     ClientDeliver {
-        /// The destination client.
         client: ClientId,
-        /// The reply.
         reply: ClientReply,
     },
     /// A client issues a put operation.
     ClientPut {
-        /// The issuing client.
         client: ClientId,
-        /// Key to write.
         key: dataflasks_types::Key,
-        /// Version to write.
         version: dataflasks_types::Version,
-        /// Payload.
         value: dataflasks_types::Value,
     },
-    /// A client issues a get operation.
+    /// A client issues a get operation (`version: None` reads the latest).
     ClientGet {
-        /// The issuing client.
         client: ClientId,
-        /// Key to read.
         key: dataflasks_types::Key,
-        /// Specific version, or `None` for the latest.
         version: Option<dataflasks_types::Version>,
     },
     /// A node crashes, losing its volatile state.
-    NodeCrash {
-        /// The crashing node.
-        node: NodeId,
-    },
+    NodeCrash { node: NodeId },
     /// A fresh node joins the system. Its identity is allocated when the
     /// event dispatches, so ids stay dense and deterministic.
-    NodeJoin {
-        /// Storage capacity attribute of the joining node.
-        capacity: u64,
-    },
+    NodeJoin { capacity: u64 },
 }
 
-/// A scheduled event.
-#[derive(Debug, Clone)]
-pub struct Event {
-    /// When the event happens.
-    pub at: SimTime,
-    /// Tie-breaker preserving scheduling order among simultaneous events.
-    pub sequence: u64,
-    /// What happens.
-    pub payload: EventPayload,
+/// A scheduled event; `sequence` breaks ties among simultaneous events in
+/// scheduling order.
+#[derive(Debug)]
+pub(crate) struct Event {
+    pub(crate) at: SimTime,
+    sequence: u64,
+    pub(crate) payload: EventPayload,
 }
 
 impl PartialEq for Event {
@@ -302,20 +190,14 @@ impl Ord for Event {
 
 /// The time-ordered event queue driving the simulation.
 #[derive(Debug, Default)]
-pub struct EventQueue {
+pub(crate) struct EventQueue {
     heap: BinaryHeap<Event>,
     next_sequence: u64,
 }
 
 impl EventQueue {
-    /// Creates an empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Schedules `payload` at time `at`.
-    pub fn schedule(&mut self, at: SimTime, payload: EventPayload) {
+    pub(crate) fn schedule(&mut self, at: SimTime, payload: EventPayload) {
         let sequence = self.next_sequence;
         self.next_sequence += 1;
         self.heap.push(Event {
@@ -326,7 +208,7 @@ impl EventQueue {
     }
 
     /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<Event> {
+    pub(crate) fn pop(&mut self) -> Option<Event> {
         self.heap.pop()
     }
 
@@ -335,147 +217,113 @@ impl EventQueue {
     /// to drop in-flight inputs addressed to a dead incarnation — the
     /// queue-based equivalent of the concurrent runtimes clearing a failed
     /// node's inbox. O(n), off the hot path.
-    pub fn discard<F: FnMut(&EventPayload) -> bool>(&mut self, mut doomed: F) -> usize {
-        let before = self.heap.len();
-        let survivors: Vec<Event> = std::mem::take(&mut self.heap)
+    pub(crate) fn discard<F: FnMut(&EventPayload) -> bool>(&mut self, mut doomed: F) {
+        let heap = std::mem::take(&mut self.heap);
+        self.heap = heap
             .into_iter()
             .filter(|event| !doomed(&event.payload))
             .collect();
-        self.heap = survivors.into();
-        before - self.heap.len()
     }
 
     /// Time of the earliest scheduled event, if any.
-    #[must_use]
-    pub fn next_time(&self) -> Option<SimTime> {
+    pub(crate) fn next_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.at)
     }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Returns `true` if no event is pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
-
-/// Helper shared by the simulation and its tests: an `StdRng` is the
-/// deterministic random source for the whole network.
-pub type NetworkRng = StdRng;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
 
+    fn samples(shape: LatencyShape, seed: u64, count: usize) -> Vec<u64> {
+        let timing = Timing {
+            latency: shape,
+            ..Timing::default()
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..count)
+            .map(|_| timing.sample_latency(&mut rng).as_millis())
+            .collect()
+    }
+
     #[test]
     fn latency_stays_within_bounds() {
-        let cfg = NetworkConfig {
-            min_latency: Duration::from_millis(10),
-            max_latency: Duration::from_millis(20),
-            drop_probability: 0.0,
+        let shape = LatencyShape::Uniform {
+            min: Duration::from_millis(10),
+            max: Duration::from_millis(20),
         };
-        let mut rng = StdRng::seed_from_u64(0);
-        for _ in 0..1_000 {
-            let latency = cfg.sample_latency(&mut rng);
-            assert!(latency >= Duration::from_millis(10));
-            assert!(latency <= Duration::from_millis(20));
-        }
+        assert!(samples(shape, 0, 1_000)
+            .iter()
+            .all(|ms| (10..=20).contains(ms)));
     }
 
     #[test]
     fn equal_bounds_give_constant_latency() {
-        let cfg = NetworkConfig {
-            min_latency: Duration::from_millis(7),
-            max_latency: Duration::from_millis(7),
-            drop_probability: 0.0,
+        let shape = LatencyShape::Uniform {
+            min: Duration::from_millis(7),
+            max: Duration::from_millis(7),
         };
-        let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(cfg.sample_latency(&mut rng), Duration::from_millis(7));
+        assert_eq!(samples(shape, 0, 1), vec![7]);
     }
 
     #[test]
-    fn drop_probability_zero_never_drops_and_one_always_drops() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let reliable = NetworkConfig::reliable();
-        assert!((0..1_000).all(|_| !reliable.drops(&mut rng)));
-        let broken = NetworkConfig::lossy(1.0);
-        assert!((0..1_000).all(|_| broken.drops(&mut rng)));
-        let half = NetworkConfig::lossy(0.5);
-        let dropped = (0..10_000).filter(|_| half.drops(&mut rng)).count();
-        assert!((4_000..6_000).contains(&dropped));
-    }
-
-    #[test]
-    fn inert_faulty_network_passes_the_baseline_through() {
-        let cfg = NetworkConfig {
-            min_latency: Duration::from_millis(10),
-            max_latency: Duration::from_millis(20),
-            drop_probability: 0.0,
+    fn the_baseline_is_uniform_between_5_and_50_ms() {
+        let drawn = samples(LatencyShape::Baseline, 1, 2_000);
+        assert!(drawn.iter().all(|ms| (5..=50).contains(ms)));
+        assert!(drawn.contains(&5) && drawn.contains(&50));
+        // The same draw as the equivalent uniform shape: a swap back to the
+        // baseline reproduces the default run's latencies.
+        let uniform = LatencyShape::Uniform {
+            min: Duration::from_millis(5),
+            max: Duration::from_millis(50),
         };
-        let faulty = FaultyNetwork::default();
-        assert!(faulty.is_inert());
-        let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..500 {
-            let latency = faulty.sample_latency(&cfg, &mut rng);
-            assert!(latency >= Duration::from_millis(10));
-            assert!(latency <= Duration::from_millis(20));
-        }
+        assert_eq!(drawn, samples(uniform, 1, 2_000));
     }
 
     #[test]
     fn lognormal_latency_centres_on_the_median_and_stays_clamped() {
-        let model = LatencyModel::LogNormal {
+        let shape = LatencyShape::LogNormal {
             median: Duration::from_millis(80),
             sigma: 1.0,
         };
-        let mut rng = StdRng::seed_from_u64(2);
-        let samples: Vec<u64> = (0..4_000)
-            .map(|_| model.sample(&mut rng).as_millis())
-            .collect();
-        assert!(samples.iter().all(|&ms| (1..=10_000).contains(&ms)));
-        let below = samples.iter().filter(|&&ms| ms < 80).count();
-        let fraction = below as f64 / samples.len() as f64;
+        let drawn = samples(shape, 2, 4_000);
+        assert!(drawn.iter().all(|&ms| (1..=10_000).contains(&ms)));
+        let below = drawn.iter().filter(|&&ms| ms < 80).count();
+        let fraction = below as f64 / drawn.len() as f64;
         assert!((0.45..=0.55).contains(&fraction), "below-median {fraction}");
         // Heavy tail: some samples far above the median.
-        assert!(samples.iter().any(|&ms| ms > 400));
+        assert!(drawn.iter().any(|&ms| ms > 400));
     }
 
     #[test]
     fn spike_latency_hits_the_spike_at_roughly_its_probability() {
-        let model = LatencyModel::Spike {
+        let shape = LatencyShape::Spike {
             base: Duration::from_millis(10),
             spike: Duration::from_millis(500),
             spike_probability: 0.1,
         };
-        let mut rng = StdRng::seed_from_u64(3);
-        let spikes = (0..10_000)
-            .filter(|_| model.sample(&mut rng) == Duration::from_millis(500))
+        let spikes = samples(shape, 3, 10_000)
+            .iter()
+            .filter(|&&ms| ms == 500)
             .count();
         assert!((800..=1_200).contains(&spikes), "spikes {spikes}");
     }
 
     #[test]
     fn reorder_adds_a_bounded_extra_delay() {
-        let cfg = NetworkConfig {
-            min_latency: Duration::from_millis(5),
-            max_latency: Duration::from_millis(5),
-            drop_probability: 0.0,
-        };
-        let mut faulty = FaultyNetwork {
+        let timing = Timing {
+            latency: LatencyShape::Uniform {
+                min: Duration::from_millis(5),
+                max: Duration::from_millis(5),
+            },
             reorder_probability: 0.5,
             reorder_max_delay: Duration::from_millis(100),
-            ..FaultyNetwork::default()
         };
         let mut rng = StdRng::seed_from_u64(4);
         let mut delayed = 0;
         for _ in 0..2_000 {
-            let latency = faulty.sample_latency(&cfg, &mut rng);
+            let latency = timing.sample_latency(&mut rng);
             assert!(latency <= Duration::from_millis(105));
             if latency > Duration::from_millis(5) {
                 delayed += 1;
@@ -484,46 +332,36 @@ mod tests {
         // ~half the deliveries drew an extra delay (a delay of exactly 0 ms
         // is indistinguishable from no delay, so the count sits just below).
         assert!((850..=1_150).contains(&delayed), "delayed {delayed}");
-        faulty.reset();
-        assert!(faulty.is_inert());
     }
 
-    #[test]
-    fn queue_pops_events_in_time_order() {
-        let mut queue = EventQueue::new();
-        queue.schedule(
-            SimTime::from_millis(30),
-            EventPayload::NodeCrash {
-                node: NodeId::new(3),
-            },
-        );
-        queue.schedule(
-            SimTime::from_millis(10),
-            EventPayload::NodeCrash {
-                node: NodeId::new(1),
-            },
-        );
-        queue.schedule(
-            SimTime::from_millis(20),
-            EventPayload::NodeCrash {
-                node: NodeId::new(2),
-            },
-        );
-        assert_eq!(queue.len(), 3);
-        assert_eq!(queue.next_time(), Some(SimTime::from_millis(10)));
-        let order: Vec<u64> = std::iter::from_fn(|| queue.pop())
+    fn crash_order(queue: &mut EventQueue) -> Vec<u64> {
+        std::iter::from_fn(|| queue.pop())
             .map(|e| match e.payload {
                 EventPayload::NodeCrash { node } => node.as_u64(),
                 _ => unreachable!(),
             })
-            .collect();
-        assert_eq!(order, vec![1, 2, 3]);
-        assert!(queue.is_empty());
+            .collect()
+    }
+
+    #[test]
+    fn queue_pops_events_in_time_order() {
+        let mut queue = EventQueue::default();
+        for (ms, node) in [(30, 3), (10, 1), (20, 2)] {
+            queue.schedule(
+                SimTime::from_millis(ms),
+                EventPayload::NodeCrash {
+                    node: NodeId::new(node),
+                },
+            );
+        }
+        assert_eq!(queue.next_time(), Some(SimTime::from_millis(10)));
+        assert_eq!(crash_order(&mut queue), vec![1, 2, 3]);
+        assert_eq!(queue.next_time(), None);
     }
 
     #[test]
     fn simultaneous_events_preserve_scheduling_order() {
-        let mut queue = EventQueue::new();
+        let mut queue = EventQueue::default();
         for i in 0..10u64 {
             queue.schedule(
                 SimTime::from_millis(5),
@@ -532,12 +370,6 @@ mod tests {
                 },
             );
         }
-        let order: Vec<u64> = std::iter::from_fn(|| queue.pop())
-            .map(|e| match e.payload {
-                EventPayload::NodeCrash { node } => node.as_u64(),
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(order, (0..10u64).collect::<Vec<_>>());
+        assert_eq!(crash_order(&mut queue), (0..10u64).collect::<Vec<_>>());
     }
 }

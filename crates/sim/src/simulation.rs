@@ -18,7 +18,7 @@ use dataflasks_core::{
     TimerKind,
 };
 use dataflasks_membership::NodeDescriptor;
-use dataflasks_nemesis::{LatencyShape, NemesisOp};
+use dataflasks_nemesis::NemesisOp;
 use dataflasks_store::{DataStore, ShardedStore};
 use dataflasks_types::{
     Duration, Key, NodeConfig, NodeId, NodeProfile, SimTime, SliceId, Value, Version,
@@ -26,7 +26,7 @@ use dataflasks_types::{
 
 use crate::batch::{Batch, Host, Pool, RoundInput};
 use crate::metrics::ClusterReport;
-use crate::network::{EventPayload, EventQueue, FaultyNetwork, LatencyModel, NetworkConfig};
+use crate::network::{EventPayload, EventQueue, Timing};
 
 /// Number of bootstrap contacts handed to a node when it is created or
 /// restarts.
@@ -47,11 +47,11 @@ const PARALLEL_SPAWN_THRESHOLD: usize = 256;
 /// calling thread runs the batch alone.
 const PARALLEL_ROUNDS: usize = 16;
 
-/// Top-level simulation parameters.
+/// Top-level simulation parameters. The network is configured at run time
+/// through [`Simulation::apply_nemesis_op`]: latency shapes, reordering and
+/// the shared fault plan's link faults.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
-    /// Network behaviour (latency, loss).
-    pub network: NetworkConfig,
     /// Seed for every random choice made by the simulation and its nodes.
     pub seed: u64,
     /// Client-side timeout after which a pending operation is abandoned.
@@ -61,7 +61,6 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         Self {
-            network: NetworkConfig::default(),
             seed: 0xDA7A_F1A5,
             client_timeout: Duration::from_secs(30),
         }
@@ -111,12 +110,11 @@ struct SimClient {
 struct Routing<'a> {
     queue: &'a mut EventQueue,
     rng: &'a mut StdRng,
-    network: &'a NetworkConfig,
     /// Shared nemesis link verdicts (partition/loss/duplication); inert by
     /// default, one relaxed load on the hot path.
     faults: &'a FaultPlan,
     /// Simulator-only nemesis timing faults (latency swaps, reordering).
-    faulty: &'a FaultyNetwork,
+    timing: &'a Timing,
     /// Injected-fault accounting for this round; folded into the sender
     /// node's stats once its outputs are routed.
     injected: &'a mut InjectedCounters,
@@ -129,62 +127,14 @@ impl Routing<'_> {
     fn route(&mut self, from: NodeId, output: Output) {
         match output {
             Output::Send { to, message } => {
-                let verdict = self.faults.link_verdict(from, to);
-                self.injected.record(verdict);
-                if matches!(verdict, LinkVerdict::DropPartition | LinkVerdict::DropLoss) {
-                    return;
-                }
-                if self.network.drops(self.rng) {
-                    *self.messages_dropped += 1;
-                    return;
-                }
-                if verdict == LinkVerdict::Duplicate {
-                    let extra = self.faulty.sample_latency(self.network, self.rng);
-                    self.queue.schedule(
-                        self.now + extra,
-                        EventPayload::Deliver {
-                            from,
-                            to,
-                            message: message.clone(),
-                        },
-                    );
-                }
-                let latency = self.faulty.sample_latency(self.network, self.rng);
-                self.queue.schedule(
-                    self.now + latency,
-                    EventPayload::Deliver { from, to, message },
-                );
+                self.send(from, to, 1, EventPayload::Deliver { from, to, message });
             }
             Output::SendBatch { to, messages } => {
-                // One transport unit: one verdict, one loss decision, one
-                // latency sample and one queue entry for the whole
-                // per-destination batch. The injected counters tally per
-                // message so they stay comparable across backends whose
-                // batch boundaries differ.
-                let verdict = self.faults.link_verdict(from, to);
-                self.injected
-                    .record_messages(verdict, messages.len() as u64);
-                if matches!(verdict, LinkVerdict::DropPartition | LinkVerdict::DropLoss) {
-                    return;
-                }
-                if self.network.drops(self.rng) {
-                    *self.messages_dropped += messages.len() as u64;
-                    return;
-                }
-                if verdict == LinkVerdict::Duplicate {
-                    let extra = self.faulty.sample_latency(self.network, self.rng);
-                    self.queue.schedule(
-                        self.now + extra,
-                        EventPayload::DeliverBatch {
-                            from,
-                            to,
-                            messages: messages.clone(),
-                        },
-                    );
-                }
-                let latency = self.faulty.sample_latency(self.network, self.rng);
-                self.queue.schedule(
-                    self.now + latency,
+                let count = messages.len() as u64;
+                self.send(
+                    from,
+                    to,
+                    count,
                     EventPayload::DeliverBatch { from, to, messages },
                 );
             }
@@ -192,7 +142,7 @@ impl Routing<'_> {
                 // Client links are outside the nemesis blast radius: only
                 // the latency model applies (a partitioned contact still
                 // answers its own clients).
-                let latency = self.faulty.sample_latency(self.network, self.rng);
+                let latency = self.timing.sample_latency(self.rng);
                 self.queue.schedule(
                     self.now + latency,
                     EventPayload::ClientDeliver { client, reply },
@@ -207,14 +157,38 @@ impl Routing<'_> {
             }
         }
     }
+
+    /// Routes one transport unit carrying `messages` protocol messages: one
+    /// link verdict, one latency sample and one queue entry for the whole
+    /// unit (plus a second entry when the verdict duplicates it). Dropped
+    /// and refused units are tallied per message, so the counts stay
+    /// comparable across backends whose batch boundaries differ.
+    fn send(&mut self, from: NodeId, to: NodeId, messages: u64, unit: EventPayload) {
+        let verdict = self.faults.link_verdict(from, to);
+        self.injected.record_messages(verdict, messages);
+        match verdict {
+            LinkVerdict::DropPartition | LinkVerdict::DropLoss => {
+                *self.messages_dropped += messages;
+                return;
+            }
+            LinkVerdict::Duplicate => {
+                let extra = self.timing.sample_latency(self.rng);
+                self.queue.schedule(self.now + extra, unit.clone());
+            }
+            LinkVerdict::Deliver => {}
+        }
+        let latency = self.timing.sample_latency(self.rng);
+        self.queue.schedule(self.now + latency, unit);
+    }
 }
 
 /// A deterministic discrete-event simulation of a DataFlasks cluster.
 ///
 /// The simulation owns the nodes (running the *real* protocol code from
 /// `dataflasks-core`), the client libraries, a virtual clock and a simulated
-/// network with configurable latency and loss. This is the substitution for
-/// the Minha simulator used by the paper.
+/// network whose latency shape, reordering and link faults a nemesis sets
+/// ([`Self::apply_nemesis_op`]). This is the substitution for the Minha
+/// simulator used by the paper.
 ///
 /// Node state lives in a dense slab indexed by the (sequentially allocated)
 /// node id, with a swap-remove alive list beside it, and periodic protocol
@@ -248,7 +222,7 @@ pub struct Simulation {
     /// mutate it mid-run through [`Self::fault_plan`].
     faults: Arc<FaultPlan>,
     /// Simulator-only nemesis timing faults (latency swaps, reordering).
-    faulty: FaultyNetwork,
+    timing: Timing,
     /// Every node ever spawned, indexed by its id (ids are dense and never
     /// reused; a crashed node keeps its slot, inspectable, and a restart
     /// rebuilds the slot in place).
@@ -318,10 +292,10 @@ impl Simulation {
         Self {
             config,
             now: SimTime::ZERO,
-            queue: EventQueue::new(),
+            queue: EventQueue::default(),
             rng: StdRng::seed_from_u64(config.seed),
             faults,
-            faulty: FaultyNetwork::default(),
+            timing: Timing::default(),
             nodes: Vec::new(),
             alive: Vec::new(),
             alive_pos: Vec::new(),
@@ -376,7 +350,11 @@ impl Simulation {
         self.messages_delivered
     }
 
-    /// Messages dropped by the network so far.
+    /// Protocol messages the network dropped so far: those of every
+    /// transport unit the shared [`FaultPlan`] lost or refused at a
+    /// partition (the sum of the senders'
+    /// [`NodeStats::frames_dropped_injected`] and
+    /// [`NodeStats::partition_refusals`]).
     #[must_use]
     pub fn messages_dropped(&self) -> u64 {
         self.messages_dropped
@@ -578,15 +556,10 @@ impl Simulation {
         Arc::clone(&self.faults)
     }
 
-    /// The simulator-only timing faults currently in force.
-    #[must_use]
-    pub fn faulty_network(&self) -> &FaultyNetwork {
-        &self.faulty
-    }
-
     /// Applies one nemesis operation at the current virtual time: the
     /// link-fault subset lands on the shared [`FaultPlan`], timing faults
-    /// reshape the [`FaultyNetwork`] interposer, and churn storms schedule
+    /// (latency shapes, reordering) reshape every later delivery's latency,
+    /// and churn storms schedule
     /// crashes/joins over their window. [`NemesisOp::CorruptFrames`] arms
     /// the plan's budget but is a physical no-op here — the simulator
     /// delivers typed messages, not bytes, so there is no frame to flip a
@@ -597,27 +570,10 @@ impl Simulation {
         }
         match op {
             NemesisOp::Reorder { p, max_delay } => {
-                self.faulty.reorder_probability = *p;
-                self.faulty.reorder_max_delay = *max_delay;
+                self.timing.reorder_probability = *p;
+                self.timing.reorder_max_delay = *max_delay;
             }
-            NemesisOp::LatencySwap(shape) => {
-                self.faulty.latency = match *shape {
-                    LatencyShape::Baseline => None,
-                    LatencyShape::Uniform { min, max } => Some(LatencyModel::Uniform { min, max }),
-                    LatencyShape::LogNormal { median, sigma } => {
-                        Some(LatencyModel::LogNormal { median, sigma })
-                    }
-                    LatencyShape::Spike {
-                        base,
-                        spike,
-                        spike_probability,
-                    } => Some(LatencyModel::Spike {
-                        base,
-                        spike,
-                        spike_probability,
-                    }),
-                };
-            }
+            NemesisOp::LatencySwap(shape) => self.timing.latency = *shape,
             NemesisOp::ChurnStorm {
                 crashes,
                 joins,
@@ -1011,9 +967,8 @@ impl Simulation {
         let mut routing = Routing {
             queue: &mut self.queue,
             rng: &mut self.rng,
-            network: &self.config.network,
             faults: &self.faults,
-            faulty: &self.faulty,
+            timing: &self.timing,
             injected: &mut injected,
             messages_dropped: &mut self.messages_dropped,
             wheel: &mut self.wheel,
@@ -1280,6 +1235,7 @@ impl Environment for Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dataflasks_nemesis::LatencyShape;
 
     fn small_sim(nodes: usize, slices: u32) -> Simulation {
         let mut sim = Simulation::new(SimConfig::default());
@@ -1678,6 +1634,35 @@ mod tests {
     }
 
     #[test]
+    fn messages_dropped_counts_every_lost_and_refused_message() {
+        let mut sim = small_sim(16, 2);
+        sim.run_for(Duration::from_secs(10));
+        sim.apply_nemesis_op(&NemesisOp::Loss {
+            links: None,
+            p: 0.5,
+        });
+        sim.run_for(Duration::from_secs(5));
+        let (evens, odds): (Vec<NodeId>, Vec<NodeId>) = (0..16u64)
+            .map(NodeId::new)
+            .partition(|id| id.as_u64() % 2 == 0);
+        sim.apply_nemesis_op(&NemesisOp::Partition {
+            groups: vec![evens, odds],
+        });
+        sim.run_for(Duration::from_secs(5));
+        sim.apply_nemesis_op(&NemesisOp::Heal);
+        sim.apply_nemesis_op(&NemesisOp::Loss {
+            links: None,
+            p: 0.0,
+        });
+        sim.run_for(Duration::from_secs(5));
+        let stats = sim.node_stats();
+        let lost: u64 = stats.iter().map(|s| s.frames_dropped_injected).sum();
+        let refused: u64 = stats.iter().map(|s| s.partition_refusals).sum();
+        assert!(lost > 0 && refused > 0, "both faults fired");
+        assert_eq!(sim.messages_dropped(), lost + refused);
+    }
+
+    #[test]
     fn injected_loss_and_duplication_are_accounted_on_sender_stats() {
         let mut sim = small_sim(12, 2);
         sim.run_for(Duration::from_secs(10));
@@ -1721,22 +1706,30 @@ mod tests {
     fn timing_and_churn_ops_reshape_the_simulator() {
         let mut sim = small_sim(20, 2);
         sim.run_for(Duration::from_secs(5));
-        sim.apply_nemesis_op(&NemesisOp::LatencySwap(LatencyShape::LogNormal {
+        let lognormal = LatencyShape::LogNormal {
             median: Duration::from_millis(80),
             sigma: 1.0,
-        }));
+        };
+        sim.apply_nemesis_op(&NemesisOp::LatencySwap(lognormal));
         sim.apply_nemesis_op(&NemesisOp::Reorder {
             p: 0.2,
             max_delay: Duration::from_millis(200),
         });
-        assert!(!sim.faulty_network().is_inert());
+        assert_eq!(
+            sim.timing,
+            Timing {
+                latency: lognormal,
+                reorder_probability: 0.2,
+                reorder_max_delay: Duration::from_millis(200),
+            }
+        );
         sim.run_for(Duration::from_secs(10));
         sim.apply_nemesis_op(&NemesisOp::LatencySwap(LatencyShape::Baseline));
         sim.apply_nemesis_op(&NemesisOp::Reorder {
             p: 0.0,
             max_delay: Duration::ZERO,
         });
-        assert!(sim.faulty_network().is_inert());
+        assert_eq!(sim.timing, Timing::default());
         // A churn storm schedules its crashes and joins over the window.
         sim.apply_nemesis_op(&NemesisOp::ChurnStorm {
             crashes: 4,
@@ -1810,22 +1803,27 @@ mod tests {
     /// A seeded scenario whose instants mix node deliveries with every
     /// event that splits a batch: crashes, joins, scheduled puts and gets,
     /// injected timer firings. Latencies start at 0 ms, so a round's sends
-    /// land in its own instant, and injected duplication and network loss
-    /// make the routing draw from the simulation RNG and fold fault tallies.
+    /// land in its own instant; every latency draws from the simulation
+    /// RNG, in routing order. Injected loss and duplication draw from the
+    /// fault plan's own RNG, also in routing order, and fold fault tallies
+    /// into the senders.
     fn batched_scenario(threads: usize, parallel_rounds: usize) -> RunRecord {
         use dataflasks_core::{DisseminationPhase, PutRequest, ReplyBody};
         use dataflasks_types::{RequestId, StoredObject};
 
         let mut sim = Simulation::new(SimConfig {
-            network: NetworkConfig {
-                min_latency: Duration::ZERO,
-                max_latency: Duration::from_millis(3),
-                drop_probability: 0.02,
-            },
             seed: 0xBA7C,
             client_timeout: Duration::from_secs(3),
         });
         sim.force_dispatch(threads, parallel_rounds);
+        sim.apply_nemesis_op(&NemesisOp::LatencySwap(LatencyShape::Uniform {
+            min: Duration::ZERO,
+            max: Duration::from_millis(3),
+        }));
+        sim.apply_nemesis_op(&NemesisOp::Loss {
+            links: None,
+            p: 0.02,
+        });
         sim.spawn_cluster(48, NodeConfig::for_system_size(48, 3));
         let client = sim.add_client();
         sim.run_for(Duration::from_secs(4));

@@ -129,7 +129,6 @@ fn churned_thousand_node_run_matches_its_pinned_counts() {
     let mut sim = Simulation::new(SimConfig {
         seed: 0x5EED_1000,
         client_timeout: Duration::from_secs(5),
-        ..SimConfig::default()
     });
     sim.spawn_cluster(nodes, config);
     sim.run_for(Duration::from_secs(20));
