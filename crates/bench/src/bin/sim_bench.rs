@@ -57,6 +57,9 @@ const ROW_FIELDS: &[&str] = &[
 /// - `sequential_dispatch`, the sweep as it ran before the simulator
 ///   dispatched an instant's node rounds on every core: one event at a
 ///   time, on one thread.
+/// - `per_instant_batches`, the sweep as it ran while every simulated
+///   instant (and every wheel tick) was a batch of its own, before a batch
+///   took a whole lookahead window: the same counts, on two cores.
 const HISTORY: &str = concat!(
     "{\n",
     "    \"heap_timers_hashmap_nodes\": {\n",
@@ -138,6 +141,56 @@ const HISTORY: &str = concat!(
     "        \"gets_answered\": 800,\n",
     "        \"get_hits\": 438,\n",
     "        \"peak_rss_kb\": 9952640\n",
+    "      }\n",
+    "    ],\n",
+    "    \"per_instant_batches\": [\n",
+    "      {\n",
+    "        \"nodes\": 10000,\n",
+    "        \"slices\": 50,\n",
+    "        \"cores\": 2,\n",
+    "        \"spawn_ms\": 80,\n",
+    "        \"spawn_ms_per_node\": 0.01,\n",
+    "        \"sim_seconds\": 105,\n",
+    "        \"run_wall_ms\": 21465,\n",
+    "        \"wall_ms_per_sim_s\": 204.43,\n",
+    "        \"events_dispatched\": 8564569,\n",
+    "        \"events_per_s\": 399001.58,\n",
+    "        \"timer_fires\": 2309968,\n",
+    "        \"messages_delivered\": 6189529,\n",
+    "        \"messages_dropped\": 0,\n",
+    "        \"crashes\": 100,\n",
+    "        \"joins\": 100,\n",
+    "        \"alive_end\": 10000,\n",
+    "        \"puts_submitted\": 800,\n",
+    "        \"puts_completed\": 800,\n",
+    "        \"gets_submitted\": 800,\n",
+    "        \"gets_answered\": 800,\n",
+    "        \"get_hits\": 545,\n",
+    "        \"peak_rss_kb\": 227460\n",
+    "      },\n",
+    "      {\n",
+    "        \"nodes\": 50000,\n",
+    "        \"slices\": 250,\n",
+    "        \"cores\": 2,\n",
+    "        \"spawn_ms\": 351,\n",
+    "        \"spawn_ms_per_node\": 0.01,\n",
+    "        \"sim_seconds\": 105,\n",
+    "        \"run_wall_ms\": 133289,\n",
+    "        \"wall_ms_per_sim_s\": 1269.42,\n",
+    "        \"events_dispatched\": 40808141,\n",
+    "        \"events_per_s\": 306162.86,\n",
+    "        \"timer_fires\": 11550105,\n",
+    "        \"messages_delivered\": 29186919,\n",
+    "        \"messages_dropped\": 0,\n",
+    "        \"crashes\": 500,\n",
+    "        \"joins\": 500,\n",
+    "        \"alive_end\": 50001,\n",
+    "        \"puts_submitted\": 800,\n",
+    "        \"puts_completed\": 800,\n",
+    "        \"gets_submitted\": 800,\n",
+    "        \"gets_answered\": 800,\n",
+    "        \"get_hits\": 221,\n",
+    "        \"peak_rss_kb\": 2503264\n",
     "      }\n",
     "    ]\n",
     "  }"

@@ -27,7 +27,7 @@
 //!   bounded by one tick.
 //! * [`TimerWheel::advance_next`] — exact: walk the wheel tick by tick up to
 //!   a limit and stop at the **first** tick with due timers. The simulator
-//!   interleaves this with its event heap so virtual time never jumps past a
+//!   interleaves this with its event queue so virtual time never jumps past a
 //!   deadline, and each timer fires at exactly its armed instant.
 
 use dataflasks_types::SimTime;

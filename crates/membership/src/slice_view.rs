@@ -79,11 +79,12 @@ impl SliceView {
     ///
     /// When the slice changes, previously collected peers are discarded: they
     /// belong to the old slice and keeping them would leak dissemination
-    /// outside the new slice.
+    /// outside the new slice. The view is emptied in place, keeping its
+    /// allocation.
     pub fn set_slice(&mut self, slice: Option<SliceId>) {
         if self.slice != slice {
             self.slice = slice;
-            self.view = PartialView::new(self.view.owner(), self.view.capacity());
+            self.view.clear();
         }
     }
 
@@ -170,6 +171,13 @@ mod tests {
         view.observe(descriptor(3, Some(2)));
         view.set_slice(Some(SliceId::new(2)));
         assert_eq!(view.len(), 1);
+        // A view cleared in place keeps its owner and its bound.
+        view.set_slice(Some(SliceId::new(3)));
+        for i in 0..20u64 {
+            view.observe(descriptor(i, Some(3)));
+        }
+        assert_eq!(view.len(), 8);
+        assert!(!view.contains(NodeId::new(0)));
     }
 
     #[test]

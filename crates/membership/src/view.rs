@@ -100,6 +100,11 @@ impl PartialView {
         self.entries.iter().map(NodeDescriptor::id).collect()
     }
 
+    /// Drops every descriptor, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+
     /// Inserts a descriptor, keeping the freshest copy per node and evicting
     /// the oldest descriptor if the view is over capacity.
     ///

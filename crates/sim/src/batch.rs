@@ -1,26 +1,28 @@
-//! The parallel half of the simulator's event loop: one instant's node
-//! rounds, grouped by node and run on every core.
+//! The parallel half of the simulator's event loop: one lookahead window's
+//! node rounds, grouped by node and run on every core.
 //!
 //! [`Simulation::run_until`](crate::Simulation::run_until) dispatches in
-//! batches — the heap events due at one instant, or the wheel timers due at
-//! one tick — and plans each batch's node rounds into a [`Batch`]: all rounds
-//! of one node form one [`Group`], in batch order, and the node's host is
-//! lent to the group. A [`Pool`] runs the groups: the calling thread and one
-//! helper thread per further core each claim the next unclaimed group until
-//! none is left, every thread on its own [`DispatchScratch`], and every round
-//! captures its [`Output`]s instead of routing them. The simulation then
-//! routes the captured outputs on the calling thread, in batch order.
+//! batches — the queued events and wheel timers due inside one lookahead
+//! window, which no round's outputs can reach into — and plans each batch's
+//! node rounds into a [`Batch`]: all rounds of one node form one [`Group`],
+//! in batch order (a group may span several instants), and the node's host
+//! is lent to the group. A [`Pool`] runs the groups: the calling thread and
+//! one helper thread per further core each claim the next unclaimed group
+//! until none is left, every thread on its own [`DispatchScratch`], and
+//! every round captures its [`Output`]s instead of routing them. The
+//! simulation then routes the captured outputs on the calling thread, in
+//! batch order.
 //!
 //! A round reads and writes only its own node, so rounds of different nodes
 //! commute, and the rounds of one node keep their order inside its group.
-//! Everything shared — the simulation RNG, the event heap's sequence
-//! numbers, the timer wheel, the injected-fault tallies — is touched only by
-//! the routing, in the order the one-event-at-a-time loop touched it. A
-//! seeded run is therefore the same run at any core count.
+//! Everything shared — the simulation RNG, the event queue's order, the
+//! timer wheel, the injected-fault tallies — is touched only by the routing,
+//! in the order the one-event-at-a-time loop touched it. A seeded run is
+//! therefore the same run at any core count.
 
 use std::mem;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::{Builder, Scope, ScopedJoinHandle};
 
@@ -53,8 +55,8 @@ pub(crate) enum RoundInput {
 }
 
 impl RoundInput {
-    /// Splits a heap event into the node it is addressed to and the round it
-    /// feeds that node; hands back every event that is not a node round.
+    /// Splits a queued event into the node it is addressed to and the round
+    /// it feeds that node; hands back every event that is not a node round.
     pub(crate) fn from_event(payload: EventPayload) -> Result<(NodeId, Self), EventPayload> {
         match payload {
             EventPayload::Deliver { from, to, message } => {
@@ -233,12 +235,37 @@ fn unlocked(group: &mut Mutex<Group>) -> &mut Group {
     group.get_mut().expect("a group's lock is never poisoned")
 }
 
+/// How often the calling thread polls a helper for the end of a batch
+/// before it blocks: about 0.1 ms on a 2-vCPU x86 host, less than the
+/// serial work between two batches of a 10k-node run.
+const DONE_POLLS: u32 = 4_000;
+
 /// A helper thread's two channels: batches to work on, and word that it is
 /// done with one.
 struct Helper<'scope> {
     jobs: Sender<Arc<Batch>>,
     done: Receiver<()>,
     thread: ScopedJoinHandle<'scope, DispatchScratch>,
+}
+
+impl Helper<'_> {
+    /// Waits until the helper is done with its batch. When the calling
+    /// thread runs out of groups the helper is usually finishing its last
+    /// one, so the wait polls before it blocks: a blocked receive costs a
+    /// thread wake-up, which over a run's tens of thousands of batches adds
+    /// up to more than the batch tails themselves.
+    fn wait_done(&self) {
+        for _ in 0..DONE_POLLS {
+            match self.done.try_recv() {
+                Ok(()) => return,
+                Err(TryRecvError::Empty) => std::hint::spin_loop(),
+                Err(TryRecvError::Disconnected) => break,
+            }
+        }
+        self.done
+            .recv()
+            .expect("a helper reports every batch it is sent");
+    }
 }
 
 /// The threads one [`Simulation::run_until`](crate::Simulation::run_until)
@@ -286,10 +313,7 @@ impl<'scope, 'env> Pool<'scope, 'env> {
         }
         shared.run(scratch);
         for helper in &self.running {
-            helper
-                .done
-                .recv()
-                .expect("a helper reports every batch it is sent");
+            helper.wait_done();
         }
         *batch = Arc::into_inner(shared).expect("helpers drop a batch before reporting");
     }

@@ -13,17 +13,22 @@
 //! [`LatencyShape`](dataflasks_nemesis::LatencyShape) — by default the
 //! baseline, uniform in 5–50 ms — swapped with [`Simulation::apply_nemesis_op`].
 //!
-//! The event loop dispatches in batches: every heap event due at the
-//! current instant is one batch, every wheel timer due at the current tick
-//! another. A batch's node rounds are grouped by node (each node's rounds in
-//! event order) and run on every core, capturing their outputs; the calling
-//! thread then routes the outputs in event order. A round touches only its
-//! own node, and the shared state — the simulation RNG, the event heap's
-//! sequence numbers, the timer wheel, the counters — is touched only by
-//! that ordered routing, so a seeded run is byte-identical at any core
+//! The event loop dispatches in batches, one per lookahead window: a batch
+//! takes queued events and wheel ticks in event order until the next one is
+//! at least the lookahead past the batch's first round. The lookahead is
+//! the smallest latency the latency shape can draw (5 ms on the baseline)
+//! or the smallest timer period of any spawned node, whichever is shorter:
+//! nothing a round sends or arms lands sooner, so no round of the window
+//! can feel another. A lookahead of 0 ms batches one instant (or one tick)
+//! at a time. A batch's node rounds are grouped by node (each node's rounds
+//! in event order) and run on every core, capturing their outputs; the
+//! calling thread then routes the outputs in event order. A round touches
+//! only its own node, and the shared state — the simulation RNG, the event
+//! queue's order, the timer wheel, the counters — is touched only
+//! by that ordered routing, so a seeded run is byte-identical at any core
 //! count. Events that read shared state themselves (scheduled client puts
 //! and gets, injected timer firings, crashes and joins) split the batch and
-//! run alone, in place.
+//! run alone, in place; the next planned round opens a new window.
 //!
 //! * [`Simulation`] — owns the nodes, clients, clock and event queue,
 //! * [`SimConfig`] — the seed and the client timeout,

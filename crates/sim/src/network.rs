@@ -4,8 +4,8 @@
 //! [`FaultPlan`](dataflasks_core::fault::FaultPlan), so they replay on
 //! every backend; this module only bends virtual time.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
+use std::mem;
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -17,6 +17,10 @@ use dataflasks_types::{Duration, NodeId, SimTime};
 /// The latency [`LatencyShape::Baseline`] serves: uniform in 5–50 ms.
 const BASELINE_MIN: Duration = Duration::from_millis(5);
 const BASELINE_MAX: Duration = Duration::from_millis(50);
+
+/// The bounds [`LatencyShape::LogNormal`] draws are clamped to.
+const LOGNORMAL_MIN: Duration = Duration::from_millis(1);
+const LOGNORMAL_MAX: Duration = Duration::from_secs(10);
 
 /// The simulator half of the nemesis timing faults: the latency shape in
 /// force and probabilistic reordering. Only virtual time can be bent
@@ -55,6 +59,18 @@ impl Timing {
         }
         latency
     }
+
+    /// The smallest latency [`Self::sample_latency`] can draw. Reordering
+    /// and duplication only add delay, so no routed transport unit or reply
+    /// arrives sooner than this after the round that sent it.
+    pub(crate) fn min_latency(&self) -> Duration {
+        match self.latency {
+            LatencyShape::Baseline => BASELINE_MIN,
+            LatencyShape::Uniform { min, .. } => min,
+            LatencyShape::LogNormal { .. } => LOGNORMAL_MIN,
+            LatencyShape::Spike { base, spike, .. } => base.min(spike),
+        }
+    }
 }
 
 /// Draws a one-way latency from `shape`.
@@ -65,12 +81,14 @@ fn sample(shape: LatencyShape, rng: &mut StdRng) -> Duration {
         LatencyShape::LogNormal { median, sigma } => {
             // Box–Muller from two uniforms; exp(sigma·z) scales the median
             // multiplicatively, so half the draws land below it. `1 - u`
-            // keeps ln's argument in (0, 1]. Clamped to [1 ms, 10 s].
+            // keeps ln's argument in (0, 1].
             let u1: f64 = 1.0 - rng.gen::<f64>();
             let u2: f64 = rng.gen();
             let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
             let millis = (median.as_millis() as f64 * (sigma * z).exp()).round();
-            Duration::from_millis((millis as u64).clamp(1, 10_000))
+            Duration::from_millis(
+                (millis as u64).clamp(LOGNORMAL_MIN.as_millis(), LOGNORMAL_MAX.as_millis()),
+            )
         }
         LatencyShape::Spike {
             base,
@@ -116,7 +134,7 @@ pub(crate) enum EventPayload {
     },
     /// An out-of-band timer firing injected through the `Environment`
     /// interface. Periodic protocol timers never travel through the event
-    /// heap — they live in the simulation's timer wheel — so this payload
+    /// queue — they live in the simulation's timer wheel — so this payload
     /// only carries injected firings, keeping them FIFO-ordered with other
     /// injected inputs. `generation` is the stamp drawn from the wheel when
     /// the firing was injected: exactly one chain is live per node and
@@ -158,58 +176,100 @@ pub(crate) enum EventPayload {
     NodeJoin { capacity: u64 },
 }
 
-/// A scheduled event; `sequence` breaks ties among simultaneous events in
-/// scheduling order.
+/// Instants the event queue's ring covers from its first one on. Every
+/// latency the baseline draws (5–50 ms) lands inside it.
+const RING_SPAN: u64 = 64;
+
+/// The time-ordered event queue driving the simulation: the pending
+/// events of each instant, in scheduling order, taken one whole instant at
+/// a time — which is how the event loop dispatches them.
+///
+/// The instants from the last one taken on live in a ring of
+/// [`RING_SPAN`] vectors, with one bit per non-empty slot, so scheduling
+/// is a push and finding the next instant a bit scan; an event is moved
+/// once on the way in and once on the way out, never sifted. Instants
+/// further out (or, if a caller asks, in the past) wait in an ordered map
+/// and move into the ring when it reaches them, ahead of anything
+/// scheduled there later.
 #[derive(Debug)]
-pub(crate) struct Event {
-    pub(crate) at: SimTime,
-    sequence: u64,
-    pub(crate) payload: EventPayload,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.sequence == other.sequence
-    }
-}
-
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event pops first.
-        (other.at, other.sequence).cmp(&(self.at, self.sequence))
-    }
-}
-
-/// The time-ordered event queue driving the simulation.
-#[derive(Debug, Default)]
 pub(crate) struct EventQueue {
-    heap: BinaryHeap<Event>,
-    next_sequence: u64,
+    /// `ring[t % RING_SPAN]` holds instant `t`'s events, for
+    /// `start <= t < start + RING_SPAN`.
+    ring: Vec<Vec<EventPayload>>,
+    /// Bit `t % RING_SPAN` is set iff instant `t` has events in the ring.
+    occupied: u64,
+    /// First instant the ring covers, in milliseconds: the last one taken.
+    start: u64,
+    /// Events of every instant outside the ring.
+    outside: BTreeMap<SimTime, Vec<EventPayload>>,
+}
+
+impl Default for EventQueue {
+    fn default() -> Self {
+        Self {
+            ring: (0..RING_SPAN).map(|_| Vec::new()).collect(),
+            occupied: 0,
+            start: 0,
+            outside: BTreeMap::new(),
+        }
+    }
 }
 
 impl EventQueue {
-    /// Schedules `payload` at time `at`.
+    /// Schedules `payload` at time `at`, after every event already
+    /// scheduled at that time.
     pub(crate) fn schedule(&mut self, at: SimTime, payload: EventPayload) {
-        let sequence = self.next_sequence;
-        self.next_sequence += 1;
-        self.heap.push(Event {
-            at,
-            sequence,
-            payload,
-        });
+        let t = at.as_millis();
+        if t.wrapping_sub(self.start) < RING_SPAN {
+            let slot = (t % RING_SPAN) as usize;
+            self.ring[slot].push(payload);
+            self.occupied |= 1 << slot;
+        } else {
+            self.outside.entry(at).or_default().push(payload);
+        }
     }
 
-    /// Removes and returns the earliest event.
-    pub(crate) fn pop(&mut self) -> Option<Event> {
-        self.heap.pop()
+    /// Time of the earliest scheduled event, if any.
+    pub(crate) fn next_time(&self) -> Option<SimTime> {
+        let ring = (self.occupied != 0).then(|| {
+            let offset = self.occupied.rotate_right((self.start % RING_SPAN) as u32);
+            SimTime::from_millis(self.start + u64::from(offset.trailing_zeros()))
+        });
+        let outside = self.outside.keys().next().copied();
+        match (ring, outside) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// Takes every event of the earliest instant into the empty `due`, in
+    /// scheduling order, and returns the instant. Events scheduled at that
+    /// instant afterwards are taken by a later call.
+    pub(crate) fn pop_instant(&mut self, due: &mut Vec<EventPayload>) -> Option<SimTime> {
+        debug_assert!(due.is_empty(), "the previous instant was dispatched");
+        let at = self.next_time()?;
+        let t = at.as_millis();
+        if t < self.start {
+            let (_, mut events) = self.outside.pop_first().expect("the earliest instant");
+            mem::swap(due, &mut events);
+            return Some(at);
+        }
+        // Every instant before `at` is taken, so the slots the ring gains
+        // are empty; instants waiting outside that it now covers move in.
+        self.start = t;
+        while let Some(entry) = self.outside.first_entry() {
+            if entry.key().as_millis() - t >= RING_SPAN {
+                break;
+            }
+            let slot = (entry.key().as_millis() % RING_SPAN) as usize;
+            debug_assert!(self.ring[slot].is_empty(), "an instant lives in one place");
+            self.ring[slot] = entry.remove();
+            self.occupied |= 1 << slot;
+        }
+        let slot = (t % RING_SPAN) as usize;
+        mem::swap(due, &mut self.ring[slot]);
+        self.occupied &= !(1 << slot);
+        Some(at)
     }
 
     /// Discards every pending event whose payload matches `doomed`,
@@ -218,16 +278,16 @@ impl EventQueue {
     /// queue-based equivalent of the concurrent runtimes clearing a failed
     /// node's inbox. O(n), off the hot path.
     pub(crate) fn discard<F: FnMut(&EventPayload) -> bool>(&mut self, mut doomed: F) {
-        let heap = std::mem::take(&mut self.heap);
-        self.heap = heap
-            .into_iter()
-            .filter(|event| !doomed(&event.payload))
-            .collect();
-    }
-
-    /// Time of the earliest scheduled event, if any.
-    pub(crate) fn next_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+        for (slot, events) in self.ring.iter_mut().enumerate() {
+            events.retain(|payload| !doomed(payload));
+            if events.is_empty() {
+                self.occupied &= !(1 << slot);
+            }
+        }
+        self.outside.retain(|_, events| {
+            events.retain(|payload| !doomed(payload));
+            !events.is_empty()
+        });
     }
 }
 
@@ -334,13 +394,77 @@ mod tests {
         assert!((850..=1_150).contains(&delayed), "delayed {delayed}");
     }
 
-    fn crash_order(queue: &mut EventQueue) -> Vec<u64> {
-        std::iter::from_fn(|| queue.pop())
-            .map(|e| match e.payload {
-                EventPayload::NodeCrash { node } => node.as_u64(),
-                _ => unreachable!(),
-            })
-            .collect()
+    #[test]
+    fn min_latency_is_the_smallest_draw_of_each_shape() {
+        let ms = Duration::from_millis;
+        let cases = [
+            (LatencyShape::Baseline, 5),
+            (
+                LatencyShape::Uniform {
+                    min: ms(2),
+                    max: ms(6),
+                },
+                2,
+            ),
+            (
+                LatencyShape::LogNormal {
+                    median: ms(3),
+                    sigma: 1.5,
+                },
+                1,
+            ),
+            (
+                LatencyShape::Spike {
+                    base: ms(10),
+                    spike: ms(500),
+                    spike_probability: 0.1,
+                },
+                10,
+            ),
+            (
+                LatencyShape::Spike {
+                    base: ms(40),
+                    spike: ms(4),
+                    spike_probability: 0.5,
+                },
+                4,
+            ),
+        ];
+        for (shape, floor) in cases {
+            let timing = Timing {
+                latency: shape,
+                // Reordering only adds delay: the floor stays put.
+                reorder_probability: 0.5,
+                reorder_max_delay: ms(100),
+            };
+            assert_eq!(timing.min_latency(), ms(floor), "{shape:?}");
+            let mut rng = StdRng::seed_from_u64(floor);
+            let drawn: Vec<u64> = (0..4_000)
+                .map(|_| timing.sample_latency(&mut rng).as_millis())
+                .collect();
+            assert!(drawn.iter().all(|&d| d >= floor), "{shape:?} drew below");
+            assert!(drawn.contains(&floor), "{shape:?} never drew its floor");
+        }
+    }
+
+    fn crash_order(queue: &mut EventQueue) -> Vec<(u64, u64)> {
+        let mut order = Vec::new();
+        let mut due = Vec::new();
+        while let Some(at) = queue.pop_instant(&mut due) {
+            for payload in due.drain(..) {
+                let EventPayload::NodeCrash { node } = payload else {
+                    unreachable!("only crashes are queued");
+                };
+                order.push((at.as_millis(), node.as_u64()));
+            }
+        }
+        order
+    }
+
+    fn crash(node: u64) -> EventPayload {
+        EventPayload::NodeCrash {
+            node: NodeId::new(node),
+        }
     }
 
     #[test]
@@ -355,7 +479,7 @@ mod tests {
             );
         }
         assert_eq!(queue.next_time(), Some(SimTime::from_millis(10)));
-        assert_eq!(crash_order(&mut queue), vec![1, 2, 3]);
+        assert_eq!(crash_order(&mut queue), vec![(10, 1), (20, 2), (30, 3)]);
         assert_eq!(queue.next_time(), None);
     }
 
@@ -370,6 +494,70 @@ mod tests {
                 },
             );
         }
-        assert_eq!(crash_order(&mut queue), (0..10u64).collect::<Vec<_>>());
+        assert_eq!(
+            crash_order(&mut queue),
+            (0..10u64).map(|node| (5, node)).collect::<Vec<_>>()
+        );
+    }
+
+    /// The queue against a plain list ordered by (instant, scheduling
+    /// order): random schedules near and far ahead, a few into the past,
+    /// discards, and instants taken between them.
+    #[test]
+    fn the_queue_takes_instants_in_time_then_scheduling_order() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut queue = EventQueue::default();
+        // (instant, sequence, node) of every pending event.
+        let mut model: Vec<(u64, u64, u64)> = Vec::new();
+        let mut due = Vec::new();
+        let mut now = 0u64;
+        for sequence in 0..20_000u64 {
+            let at = match rng.gen_range(0..100u64) {
+                0..=79 => now + rng.gen_range(0..=RING_SPAN + 2),
+                80..=96 => now + rng.gen_range(0..3_000u64),
+                _ => now.saturating_sub(rng.gen_range(1..5)),
+            };
+            let node = sequence % 997;
+            queue.schedule(SimTime::from_millis(at), crash(node));
+            model.push((at, sequence, node));
+            if rng.gen_range(0..500u64) == 0 {
+                let doomed = rng.gen_range(0..997u64);
+                let is_doomed = |p: &EventPayload| matches!(p, EventPayload::NodeCrash { node } if node.as_u64() == doomed);
+                queue.discard(is_doomed);
+                model.retain(|&(_, _, node)| node != doomed);
+            }
+            while rng.gen_range(0..3u64) == 0 {
+                model.sort_unstable();
+                let expected: Vec<(u64, u64)> = match model.first() {
+                    Some(&(first, _, _)) => model
+                        .iter()
+                        .take_while(|&&(at, _, _)| at == first)
+                        .map(|&(at, _, node)| (at, node))
+                        .collect(),
+                    None => Vec::new(),
+                };
+                model.drain(..expected.len());
+                assert_eq!(
+                    queue.next_time().map(SimTime::as_millis),
+                    expected.first().map(|&(at, _)| at)
+                );
+                let Some(at) = queue.pop_instant(&mut due) else {
+                    assert!(expected.is_empty());
+                    break;
+                };
+                now = now.max(at.as_millis());
+                let got: Vec<(u64, u64)> = due
+                    .drain(..)
+                    .map(|payload| match payload {
+                        EventPayload::NodeCrash { node } => (at.as_millis(), node.as_u64()),
+                        _ => unreachable!(),
+                    })
+                    .collect();
+                assert_eq!(got, expected, "sequence {sequence}");
+            }
+        }
+        model.sort_unstable();
+        let rest: Vec<(u64, u64)> = model.iter().map(|&(at, _, node)| (at, node)).collect();
+        assert_eq!(crash_order(&mut queue), rest);
     }
 }

@@ -121,6 +121,10 @@ struct Routing<'a> {
     messages_dropped: &'a mut u64,
     wheel: &'a mut TimerWheel<SimTime>,
     now: SimTime,
+    /// End of the lookahead window the round ran in: nothing it routes may
+    /// land before it, or a later round of the window would have run
+    /// without seeing it.
+    window_end: SimTime,
 }
 
 impl Routing<'_> {
@@ -143,17 +147,15 @@ impl Routing<'_> {
                 // the latency model applies (a partitioned contact still
                 // answers its own clients).
                 let latency = self.timing.sample_latency(self.rng);
-                self.queue.schedule(
-                    self.now + latency,
-                    EventPayload::ClientDeliver { client, reply },
-                );
+                self.schedule(latency, EventPayload::ClientDeliver { client, reply });
             }
             Output::Timer { kind, after } => {
                 // Arming supersedes the pending (node, kind) deadline:
                 // exactly one chain is live per pair, like the worker-pool
                 // runtime's generation-stamped wheel entry.
-                self.wheel
-                    .arm(from.as_u64() as usize, kind, self.now + after);
+                let at = self.now + after;
+                debug_assert!(at >= self.window_end, "timer armed inside its window");
+                self.wheel.arm(from.as_u64() as usize, kind, at);
             }
         }
     }
@@ -173,12 +175,18 @@ impl Routing<'_> {
             }
             LinkVerdict::Duplicate => {
                 let extra = self.timing.sample_latency(self.rng);
-                self.queue.schedule(self.now + extra, unit.clone());
+                self.schedule(extra, unit.clone());
             }
             LinkVerdict::Deliver => {}
         }
         let latency = self.timing.sample_latency(self.rng);
-        self.queue.schedule(self.now + latency, unit);
+        self.schedule(latency, unit);
+    }
+
+    fn schedule(&mut self, latency: Duration, payload: EventPayload) {
+        let at = self.now + latency;
+        debug_assert!(at >= self.window_end, "event scheduled inside its window");
+        self.queue.schedule(at, payload);
     }
 }
 
@@ -192,7 +200,7 @@ impl Routing<'_> {
 ///
 /// Node state lives in a dense slab indexed by the (sequentially allocated)
 /// node id, with a swap-remove alive list beside it, and periodic protocol
-/// timers live in a hashed timer wheel rather than the event heap — the
+/// timers live in a hashed timer wheel rather than the event queue — the
 /// steady-state event loop indexes, it does not hash, and a warmed run
 /// allocates nothing per event (a batch run on several threads allocates
 /// the one handle its threads share).
@@ -252,9 +260,18 @@ pub struct Simulation {
     /// The group of every planned round, in batch order: the order their
     /// outputs are routed in.
     order: Vec<usize>,
+    /// Instant of the current batch's first round: its lookahead window
+    /// opens there (meaningless while nothing is planned).
+    window_start: SimTime,
+    /// Smallest protocol timer period of any node spawned so far: no
+    /// re-arm lands sooner after the round that emits it.
+    min_timer_period: Duration,
+    /// Rounds planned at a later instant than their batch's first round.
+    #[cfg(test)]
+    late_rounds: u64,
     /// The helper threads' scratches, kept warm between `run_until` calls.
     helper_scratch: Vec<DispatchScratch>,
-    /// Scratch for the heap events of one instant (reused across batches).
+    /// Scratch for the queued events of one instant (reused across batches).
     due_events: Vec<EventPayload>,
     /// Scratch for bootstrap contact sampling (reused across joins).
     contacts_scratch: Vec<NodeDescriptor>,
@@ -307,6 +324,10 @@ impl Simulation {
             parallel_rounds: PARALLEL_ROUNDS,
             rounds: Batch::default(),
             order: Vec::new(),
+            window_start: SimTime::ZERO,
+            min_timer_period: Duration::from_millis(u64::MAX),
+            #[cfg(test)]
+            late_rounds: 0,
             helper_scratch: Vec::new(),
             due_events: Vec::new(),
             contacts_scratch: Vec::new(),
@@ -667,17 +688,20 @@ impl Simulation {
     /// deadline already passed dispatches nothing and leaves the clock where
     /// it is.
     ///
-    /// Wheel deadlines strictly earlier than the next heap event fire
-    /// first; at equal instants the heap event wins, which keeps injected
-    /// inputs (which travel on the heap, including injected timer firings)
+    /// Wheel deadlines strictly earlier than the next queued event fire
+    /// first; at equal instants the queued event wins, which keeps injected
+    /// inputs (which travel on the queue, including injected timer firings)
     /// in FIFO submission order relative to each other.
     ///
-    /// Events dispatch in batches: every heap event due at the current
-    /// instant is one batch, every wheel timer due at the current tick is
-    /// another. A batch's node rounds are grouped by node and run on every
-    /// core when the batch is large enough; their outputs are then routed on
-    /// the calling thread in event order (see the `batch` module), so a
-    /// seeded run is the same at any core count.
+    /// Events dispatch in batches, one per lookahead window: a batch takes
+    /// queued events and wheel ticks in that order until the next one is at
+    /// least the lookahead past the batch's first round. The lookahead is
+    /// the smallest latency the latency shape can draw, or the smallest
+    /// timer period of any spawned node if that is shorter: no round can
+    /// affect another sooner. A batch's node rounds are grouped by node and
+    /// run on every core when the batch is large enough; their outputs are
+    /// then routed on the calling thread in event order (see the `batch`
+    /// module), so a seeded run is the same at any core count.
     pub fn run_until(&mut self, deadline: SimTime) {
         if deadline < self.now {
             return;
@@ -692,31 +716,57 @@ impl Simulation {
         self.expire_clients();
     }
 
+    /// The open batch's rounds are planned, not routed, so the loop only
+    /// takes events before the window's end — the first instant a routed
+    /// output can land on. Past it, or past `deadline`, the batch runs.
     fn run_batches(&mut self, deadline: SimTime, pool: &mut Pool<'_, '_>) {
+        // Scheduled times are whole milliseconds (latencies and periods are
+        // built from millis), so "strictly before" is exactly one tick less.
+        let before = |t: SimTime| t.as_millis().checked_sub(1).map(SimTime::from_millis);
         loop {
-            let heap_next = self.queue.next_time().filter(|&t| t <= deadline);
-            let wheel_limit = match heap_next {
-                // Scheduled times are whole milliseconds (latencies and
-                // periods are built from millis), so "strictly before the
-                // heap event" is exactly one tick less.
-                Some(t) if t == SimTime::ZERO => None,
-                Some(t) => Some(SimTime::from_millis(t.as_millis() - 1)),
-                None => Some(deadline),
+            let window_end = self.window_end();
+            let queue_next = self.queue.next_time().filter(|&t| t <= deadline);
+            let wheel_limit = queue_next.map_or(Some(deadline), before);
+            // `None` (nothing may fire) is the least option.
+            let wheel_limit = match window_end {
+                Some(end) => wheel_limit.min(before(end)),
+                None => wheel_limit,
             };
             if let Some(limit) = wheel_limit {
                 if self.fire_due_timers(limit, pool) {
                     continue;
                 }
             }
-            let Some(at) = heap_next else {
-                break;
-            };
-            self.dispatch_instant(at, pool);
+            match queue_next {
+                Some(at) if window_end.is_none_or(|end| at < end) => {
+                    self.dispatch_instant(at, pool);
+                }
+                _ if window_end.is_some() => self.run_planned(pool),
+                _ => break,
+            }
         }
     }
 
+    /// How far ahead of a round no other round can feel it: the smallest
+    /// network latency, or the smallest timer period if that is shorter.
+    /// Zero makes every instant (and every tick) a batch of its own.
+    fn lookahead(&self) -> Duration {
+        self.timing.min_latency().min(self.min_timer_period)
+    }
+
+    /// End (exclusive) of the open batch's lookahead window; `None` while
+    /// nothing is planned.
+    fn window_end(&self) -> Option<SimTime> {
+        let end = self
+            .window_start
+            .as_millis()
+            .saturating_add(self.lookahead().as_millis());
+        (!self.order.is_empty()).then_some(SimTime::from_millis(end))
+    }
+
     /// Advances the wheel to the first tick with due deadlines at or before
-    /// `limit` and fires them as one batch. Returns `true` if anything fired.
+    /// `limit` and plans them into the open batch. Returns `true` if
+    /// anything fired.
     fn fire_due_timers(&mut self, limit: SimTime, pool: &mut Pool<'_, '_>) -> bool {
         let mut due = mem::take(&mut self.timer_scratch);
         due.clear();
@@ -733,24 +783,22 @@ impl Simulation {
             }
             self.run_planned_if_alone(pool);
         }
-        self.run_planned(pool);
         self.timer_scratch = due;
         fired
     }
 
-    /// Dispatches every heap event due at `at` as one batch. Node rounds
-    /// (deliveries and client submissions) are planned into groups; client
-    /// deliveries touch only client state, which no round reads, so they
-    /// run in place. Every other event reads or writes state the batch's
-    /// routing shares — the simulation RNG, the wheel's generations, the
-    /// alive set — so it first runs the rounds planned before it and then
-    /// runs alone.
+    /// Dispatches every queued event due at `at` into the open batch. Node
+    /// rounds (deliveries and client submissions) are planned into groups;
+    /// client deliveries touch only client state, which no round reads, so
+    /// they run in place. Every other event reads or writes state the
+    /// batch's routing shares — the simulation RNG, the wheel's
+    /// generations, the alive set — so it first runs the rounds planned
+    /// before it and then runs alone.
     fn dispatch_instant(&mut self, at: SimTime, pool: &mut Pool<'_, '_>) {
         self.now = at;
         let mut due = mem::take(&mut self.due_events);
-        while self.queue.next_time() == Some(at) {
-            due.push(self.queue.pop().expect("peeked event exists").payload);
-        }
+        let taken = self.queue.pop_instant(&mut due);
+        debug_assert_eq!(taken, Some(at), "the instant peeked is the one taken");
         self.events_dispatched += due.len() as u64;
         for payload in due.drain(..) {
             match RoundInput::from_event(payload) {
@@ -770,15 +818,15 @@ impl Simulation {
             }
             self.run_planned_if_alone(pool);
         }
-        self.run_planned(pool);
         self.due_events = due;
     }
 
     /// Dispatches an event that splits its batch, after every round planned
     /// before it ran and was routed. A node round it issues is planned as
-    /// the first of the batch's next rounds: a client library's request is
-    /// handled by its contact at submission time (the client-perceived
-    /// latency still includes the network, as replies travel the queue).
+    /// the first of the next batch, opening its window: a client library's
+    /// request is handled by its contact at submission time (the
+    /// client-perceived latency still includes the network, as replies
+    /// travel the queue).
     fn dispatch_alone(&mut self, payload: EventPayload) {
         let now = self.now;
         match payload {
@@ -788,7 +836,7 @@ impl Simulation {
                 generation,
             } => {
                 // An injected firing (periodic timers never travel on the
-                // heap). Superseded by a later arm or injection: drop it,
+                // queue). Superseded by a later arm or injection: drop it,
                 // there is exactly one live chain per (node, kind).
                 let index = node.as_u64() as usize;
                 if !self.wheel.is_current(index, kind, generation) {
@@ -924,6 +972,13 @@ impl Simulation {
                 group
             }
         };
+        if self.order.is_empty() {
+            self.window_start = now;
+        }
+        #[cfg(test)]
+        if now > self.window_start {
+            self.late_rounds += 1;
+        }
         self.rounds.plan(group, now, input);
         self.order.push(group);
         true
@@ -941,9 +996,9 @@ impl Simulation {
     /// them to pay for the handoff — sends the hosts home, then routes each
     /// round's captured outputs on this thread, in plan order.
     fn run_planned(&mut self, pool: &mut Pool<'_, '_>) {
-        if self.order.is_empty() {
+        let Some(window_end) = self.window_end() else {
             return;
-        }
+        };
         let mut rounds = mem::take(&mut self.rounds);
         let parallel = self.order.len() >= self.parallel_rounds;
         pool.run(&mut rounds, &mut self.dispatch_scratch, parallel);
@@ -953,7 +1008,7 @@ impl Simulation {
         let mut order = mem::take(&mut self.order);
         for group in order.drain(..) {
             let (node, now, outputs) = rounds.route_next(group);
-            self.route_round(node, now, outputs);
+            self.route_round(node, now, window_end, outputs);
         }
         rounds.clear();
         self.order = order;
@@ -962,7 +1017,13 @@ impl Simulation {
 
     /// Routes one round's outputs through the simulated network and the
     /// wheel, then folds the round's injected-fault tally into its node.
-    fn route_round(&mut self, node: usize, now: SimTime, outputs: impl Iterator<Item = Output>) {
+    fn route_round(
+        &mut self,
+        node: usize,
+        now: SimTime,
+        window_end: SimTime,
+        outputs: impl Iterator<Item = Output>,
+    ) {
         let mut injected = InjectedCounters::default();
         let mut routing = Routing {
             queue: &mut self.queue,
@@ -973,6 +1034,7 @@ impl Simulation {
             messages_dropped: &mut self.messages_dropped,
             wheel: &mut self.wheel,
             now,
+            window_end,
         };
         let from = NodeId::new(node as u64);
         for output in outputs {
@@ -1010,6 +1072,7 @@ impl Simulation {
         let index = node.as_u64() as usize;
         for kind in TimerKind::ALL {
             let period = kind.period(&config);
+            self.min_timer_period = self.min_timer_period.min(period);
             let jitter = Duration::from_millis(self.rng.gen_range(0..period.as_millis().max(1)));
             self.wheel.arm(index, kind, self.now + jitter);
         }
@@ -1142,7 +1205,7 @@ impl Environment for Simulation {
     fn fire_timer(&mut self, node: NodeId, kind: TimerKind) {
         // Superseding kills the pending wheel deadline, exactly like the
         // worker-pool runtime superseding its wheel entry; the
-        // injected firing travels on the heap so it keeps FIFO order with
+        // injected firing travels on the queue so it keeps FIFO order with
         // other injected inputs, carrying the fresh stamp as proof of
         // currency at dispatch time.
         let generation = self.wheel.supersede(node.as_u64() as usize, kind);
@@ -1220,7 +1283,7 @@ impl Environment for Simulation {
         // one full period from the restart instant, exactly like the
         // concurrent runtimes arming a fresh deadline table. Arming
         // supersedes the chain, so pre-crash deadlines (and injected
-        // firings still in the heap) are dead on arrival.
+        // firings still in the queue) are dead on arrival.
         for kind in TimerKind::ALL {
             self.wheel.arm(index, kind, self.now + kind.period(&config));
         }
@@ -1800,14 +1863,23 @@ mod tests {
         now: SimTime,
     }
 
-    /// A seeded scenario whose instants mix node deliveries with every
-    /// event that splits a batch: crashes, joins, scheduled puts and gets,
-    /// injected timer firings. Latencies start at 0 ms, so a round's sends
-    /// land in its own instant; every latency draws from the simulation
-    /// RNG, in routing order. Injected loss and duplication draw from the
-    /// fault plan's own RNG, also in routing order, and fold fault tallies
-    /// into the senders.
-    fn batched_scenario(threads: usize, parallel_rounds: usize) -> RunRecord {
+    /// A seeded scenario mixing node deliveries with every event that
+    /// splits a batch: crashes, joins, scheduled puts and gets, injected
+    /// timer firings. Every latency draws from the simulation RNG, in
+    /// routing order. Injected loss and duplication draw from the fault
+    /// plan's own RNG, also in routing order, and fold fault tallies into
+    /// the senders.
+    ///
+    /// The scheduled put, crash, get and join land `step`, 2, 2 and 3
+    /// `step`s after the injected deliveries, in that order; a zero step
+    /// puts them all in one instant. Returns the run and how many rounds
+    /// were planned after their batch's first instant.
+    fn batched_scenario(
+        threads: usize,
+        parallel_rounds: usize,
+        latency: LatencyShape,
+        step: Duration,
+    ) -> (RunRecord, u64) {
         use dataflasks_core::{DisseminationPhase, PutRequest, ReplyBody};
         use dataflasks_types::{RequestId, StoredObject};
 
@@ -1816,10 +1888,7 @@ mod tests {
             client_timeout: Duration::from_secs(3),
         });
         sim.force_dispatch(threads, parallel_rounds);
-        sim.apply_nemesis_op(&NemesisOp::LatencySwap(LatencyShape::Uniform {
-            min: Duration::ZERO,
-            max: Duration::from_millis(3),
-        }));
+        sim.apply_nemesis_op(&NemesisOp::LatencySwap(latency));
         sim.apply_nemesis_op(&NemesisOp::Loss {
             links: None,
             p: 0.02,
@@ -1847,8 +1916,8 @@ mod tests {
         let key = |i: u64| Key::from_user_key(&format!("batched-{i}"));
         let mut replies = Vec::new();
         for round in 0..3u64 {
-            // One instant: deliveries around a crash of their target, a join,
-            // a put, an injected timer, an injected request and a get.
+            // Deliveries around a crash of their target, a join, a put, an
+            // injected timer, an injected request and a get.
             let at = sim.now();
             let victim = NodeId::new(3 + round);
             sim.deliver_message(NodeId::new(0), victim, put(10 * round, "before-crash"));
@@ -1857,11 +1926,11 @@ mod tests {
                 NodeId::new(2),
                 put(10 * round + 1, "bystander"),
             );
-            sim.schedule_crash(at, victim);
+            sim.schedule_crash(at + step * 2, victim);
             sim.deliver_message(NodeId::new(4), victim, put(10 * round + 2, "after-crash"));
-            sim.schedule_join(at, 5_000);
+            sim.schedule_join(at + step * 3, 5_000);
             sim.schedule_put(
-                at,
+                at + step,
                 client,
                 key(round),
                 Version::new(1),
@@ -1877,7 +1946,7 @@ mod tests {
                     version: None,
                 },
             );
-            sim.schedule_get(at, client, key(round.saturating_sub(1)), None);
+            sim.schedule_get(at + step * 2, client, key(round.saturating_sub(1)), None);
             sim.deliver_message(
                 NodeId::new(5),
                 NodeId::new(9),
@@ -1905,24 +1974,39 @@ mod tests {
                 .any(|reply| matches!(reply.body, ReplyBody::PutAck { .. })),
             "the injected puts are disseminated"
         );
-        RunRecord {
-            completed: sim.completed_operations().to_vec(),
-            replies,
-            stats: (0..sim.nodes.len() as u64)
-                .map(|id| *sim.node(NodeId::new(id)).stats())
-                .collect(),
-            alive: sim.alive_nodes().to_vec(),
-            events: sim.events_dispatched(),
-            timer_fires: sim.timer_fires(),
-            delivered: sim.messages_delivered(),
-            dropped: sim.messages_dropped(),
-            now: sim.now(),
+        (RunRecord::of(&sim, replies), sim.late_rounds)
+    }
+
+    impl RunRecord {
+        fn of(sim: &Simulation, replies: Vec<ClientReply>) -> Self {
+            Self {
+                completed: sim.completed_operations().to_vec(),
+                replies,
+                stats: (0..sim.nodes.len() as u64)
+                    .map(|id| *sim.node(NodeId::new(id)).stats())
+                    .collect(),
+                alive: sim.alive_nodes().to_vec(),
+                events: sim.events_dispatched(),
+                timer_fires: sim.timer_fires(),
+                delivered: sim.messages_delivered(),
+                dropped: sim.messages_dropped(),
+                now: sim.now(),
+            }
         }
     }
 
     #[test]
     fn parallel_dispatch_runs_the_same_run_as_inline_dispatch() {
-        let inline = batched_scenario(1, usize::MAX);
+        // Latencies start at 0 ms, so a round's sends can land in its own
+        // instant: the lookahead is zero and every instant is a batch.
+        let instant = LatencyShape::Uniform {
+            min: Duration::ZERO,
+            max: Duration::from_millis(3),
+        };
+        let scenario = |threads, parallel_rounds| {
+            batched_scenario(threads, parallel_rounds, instant, Duration::ZERO)
+        };
+        let (inline, _) = scenario(1, usize::MAX);
         assert!(inline.completed.len() > 200, "the client's operations ran");
         assert!(inline.dropped > 0, "the network dropped messages");
         let injected: u64 = inline
@@ -1933,12 +2017,82 @@ mod tests {
         assert!(injected > 0, "injected duplicates were folded into nodes");
         // Every batch on several threads, however few rounds it holds.
         for threads in [2, 3] {
-            let parallel = batched_scenario(threads, 1);
+            let (parallel, late) = scenario(threads, 1);
+            assert_eq!(late, 0, "a zero lookahead batches one instant");
             assert!(
                 parallel == inline,
                 "{threads} threads diverged from inline dispatch"
             );
         }
+    }
+
+    #[test]
+    fn parallel_dispatch_windows_span_instants_like_inline_dispatch() {
+        // A 2 ms lookahead: a batch takes the rounds of two instants, and
+        // the put, crash, get and join (1 ms apart) each land inside a
+        // window opened by rounds of an earlier instant.
+        let window = LatencyShape::Uniform {
+            min: Duration::from_millis(2),
+            max: Duration::from_millis(6),
+        };
+        let scenario = |threads, parallel_rounds| {
+            batched_scenario(threads, parallel_rounds, window, Duration::from_millis(1))
+        };
+        let (inline, late) = scenario(1, usize::MAX);
+        assert_eq!(late, 0, "one thread routes every round before the next");
+        assert!(inline.completed.len() > 200, "the client's operations ran");
+        assert!(inline.dropped > 0, "the network dropped messages");
+        for threads in [2, 3] {
+            let (parallel, late) = scenario(threads, 1);
+            assert!(late > 1_000, "only {late} rounds joined a wider window");
+            assert!(
+                parallel == inline,
+                "{threads} threads diverged from inline dispatch"
+            );
+        }
+    }
+
+    #[test]
+    fn parallel_dispatch_is_the_same_run_however_run_until_is_split() {
+        // Windows span instants, and a deadline cuts the window it falls in.
+        let run = |split: bool| {
+            let mut sim = Simulation::new(SimConfig {
+                seed: 0x5EED,
+                ..SimConfig::default()
+            });
+            sim.force_dispatch(2, 1);
+            sim.apply_nemesis_op(&NemesisOp::LatencySwap(LatencyShape::Uniform {
+                min: Duration::from_millis(3),
+                max: Duration::from_millis(9),
+            }));
+            sim.spawn_cluster(40, NodeConfig::for_system_size(40, 2));
+            let client = sim.add_client();
+            sim.run_for(Duration::from_secs(2));
+            let start = sim.now();
+            for i in 0..30u64 {
+                let key = Key::from_user_key(&format!("split-{i}"));
+                let at = start + Duration::from_millis(17 * i);
+                sim.schedule_put(at, client, key, Version::new(1), Value::from_bytes(b"s"));
+                sim.schedule_get(at + Duration::from_millis(400), client, key, None);
+            }
+            sim.schedule_churn(start, start + Duration::from_secs(1), 2, 2);
+            let end = start + Duration::from_secs(3);
+            if split {
+                // Odd, uneven steps, some of them inside one lookahead.
+                for step in [1, 3, 7, 13, 29, 61].into_iter().cycle() {
+                    let next = sim.now() + Duration::from_millis(step);
+                    if next >= end {
+                        break;
+                    }
+                    sim.run_until(next);
+                }
+            }
+            sim.run_until(end);
+            RunRecord::of(&sim, Vec::new())
+        };
+        let whole = run(false);
+        assert!(whole.completed.len() > 50, "the client's operations ran");
+        assert!(run(true) == whole, "a split run diverged from one call");
     }
 
     #[test]
